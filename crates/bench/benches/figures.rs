@@ -5,13 +5,19 @@
 //! binaries; these benches use a 1 500 s horizon at N = 40 to stay fast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dtn_bench::{BuiltScenario, ProtocolKind, ProtocolSpec};
+use dtn_bench::{BuiltScenario, ProtocolKind, ProtocolSpec, ScenarioSpec, WorkloadSpec};
 use dtn_sim::{SimConfig, Simulation};
 use std::hint::black_box;
 use std::sync::Arc;
 
 fn scaled() -> BuiltScenario {
-    BuiltScenario::build_scaled(40, 1, 1500.0)
+    BuiltScenario::from_specs(
+        &ScenarioSpec::paper(40),
+        &WorkloadSpec::PaperUniform,
+        1,
+        Some(1500.0),
+    )
+    .expect("paper scenario build cannot fail")
 }
 
 fn run(

@@ -339,7 +339,7 @@ fn bench_engine(c: &mut Criterion) {
 /// simulations through the shared [`ScenarioCache`].
 fn bench_matrix_fabric(c: &mut Criterion) {
     use dtn_bench::{
-        run_matrix_records, ProtocolKind, ProtocolSpec, RunSpec, ScenarioCache,
+        run_matrix_records_stored, ProtocolKind, ProtocolSpec, RunSpec, ScenarioCache,
         ScenarioSpec as BenchScenarioSpec, SweepConfig,
     };
     let specs: Vec<RunSpec> = [
@@ -365,7 +365,7 @@ fn bench_matrix_fabric(c: &mut Criterion) {
         threads: 1,
         verbose: false,
     };
-    black_box(run_matrix_records(&cache, &specs, warm).len());
+    black_box(run_matrix_records_stored(&cache, &specs, warm, None).len());
     for (label, threads) in [
         ("matrix_fabric_vs_ticket", 4usize),
         ("matrix_sequential_fold", 1),
@@ -377,7 +377,7 @@ fn bench_matrix_fabric(c: &mut Criterion) {
         };
         c.bench_function(label, |b| {
             b.iter(|| {
-                let records = run_matrix_records(&cache, &specs, cfg);
+                let records = run_matrix_records_stored(&cache, &specs, cfg, None);
                 black_box(records.len())
             })
         });

@@ -9,13 +9,14 @@
 //! either way the contact process is loaded from the plain-text trace format
 //! (see `dtn_sim::trace`) instead of being generated — the path for
 //! replaying real-world contact datasets. Every run goes through the shared
-//! runner layer (`RunSpec → SimStats`), and the run header prints the
-//! *resolved* protocol spec so every log line is a reproducible command.
+//! runner's one cell path (`run_cell`: store serve, streamed or
+//! materialized compute, publish), and the run header prints the *resolved*
+//! protocol spec so every log line is a reproducible command.
 
 use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec, RunRecord};
 use dtn_bench::{
-    replay_artifact, resolve_store, run_on_observed, run_stream, ProbeSpec, ProtocolSpec,
-    RunOutput, RunSpec, ScenarioCache, ScenarioSpec, WorkloadSpec,
+    replay_artifact, resolve_store, run_cell, ProbeSpec, ProtocolSpec, RunSpec, ScenarioCache,
+    ScenarioSpec, WorkloadSpec,
 };
 use dtn_sim::report::{delivery_progress, latencies, percentile};
 
@@ -27,17 +28,15 @@ const USAGE: &str = "usage: dtnrun [flags]
                        e.g. eer:lambda=8,ttl=3600  prophet:beta=0.25
   --scenario FAMILY    paper | rwp | trace:<path>   (default paper)
   --workload KIND      paper | hotspot[:<k>] | bursty[:<on>:<off>]  (default paper)
-  --nodes N            node count for generated scenarios (default 40)
+  --nodes N            node count for generated scenarios (default 40);
+                       from 2000 nodes on, contacts stream on demand instead
+                       of materializing the whole trace (bit-identical)
   --seed S             mobility/traffic seed (default 1)
   --duration SECS      horizon override; invalid with trace replay
   --lambda K           copy quota shorthand (same as :lambda=K)
   --alpha A            EER/CR horizon shorthand (same as :alpha=A)
   --trace PATH         shorthand for --scenario trace:PATH
   --buffer BYTES       per-node buffer capacity (default 1 MB)
-  --stream             stream contacts on demand instead of materializing
-                       the whole trace (bit-identical results; the default
-                       for generated scenarios with >= 2000 nodes)
-  --no-stream          force the materialized-trace path
   --run-threads N      worker threads for the sharded contact scan on the
                        streaming path (default auto: up to 8 for generated
                        scenarios with >= 10000 nodes, else 1); results are
@@ -86,8 +85,6 @@ struct Args {
     lambda: Option<u32>,
     alpha: Option<f64>,
     buffer: Option<u64>,
-    /// `None` = auto (stream generated scenarios at city scale).
-    stream: Option<bool>,
     /// `None` = auto (parallel scan at n >= 10^4 on the streaming path).
     run_threads: Option<u32>,
     /// `Some(capacity)` = off-thread observer drain through a bounded ring.
@@ -115,7 +112,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         lambda: None,
         alpha: None,
         buffer: None,
-        stream: None,
         run_threads: None,
         ring_drain: None,
         progress_step: 1_000.0,
@@ -141,12 +137,10 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--alpha" => out.alpha = Some(val("--alpha")?.parse().map_err(|e| format!("{e}"))?),
             "--trace" => out.scenario = Some(format!("trace:{}", val("--trace")?)),
             "--buffer" => out.buffer = Some(val("--buffer")?.parse().map_err(|e| format!("{e}"))?),
-            "--stream" => out.stream = Some(true),
             "--run-threads" => {
                 out.run_threads = Some(val("--run-threads")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--drain" => out.ring_drain = CommonArgs::parse_drain(&val("--drain")?)?,
-            "--no-stream" => out.stream = Some(false),
             "--progress-step" => {
                 out.progress_step = val("--progress-step")?
                     .parse()
@@ -215,14 +209,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Stream by default at city scale: a generated scenario with thousands
-    // of nodes produces a contact trace too large to hold, and the streaming
-    // run is bit-identical anyway. `--stream`/`--no-stream` override.
-    let streaming = args.stream.unwrap_or_else(|| {
-        scenario.default_duration().is_some()
-            && scenario.declared_nodes().is_some_and(|n| n >= 2000)
-    });
-
     let mut spec = RunSpec::on(
         args.protocol.kind().name(),
         scenario.clone(),
@@ -235,7 +221,7 @@ fn main() {
     }
     if let Some(d) = args.duration {
         // Record the override in the spec so the report's cell key carries
-        // the true horizon (run_on asserts it matches the built scenario).
+        // the true horizon.
         spec = spec.with_duration(d);
     }
     if let Some(t) = args.run_threads {
@@ -245,79 +231,41 @@ fn main() {
         spec = spec.with_ring_drain(c);
     }
 
-    // A run recording an event log is never served from (or published to)
-    // the store: the side-effect artifact is the point of the run.
-    let store = resolve_store(args.store.as_deref(), args.no_store);
-    let storable = !spec
-        .effective_probes()
-        .iter()
-        .any(|p| matches!(p, ProbeSpec::EventLog { .. }));
-    if storable {
-        if let Some(store) = &store {
-            if let Some(record) = store.serve(&spec.cell_key(args.seed).encoded(), args.seed) {
-                served_report(&spec, record, &args);
-                return;
-            }
-        }
-    }
-
-    let (n, duration, out, wall, record): (u32, f64, RunOutput, std::time::Duration, RunRecord);
-    if streaming {
+    let streams = spec.streams();
+    let supply = if streams {
         let threads = spec.effective_run_threads();
-        let mode = if threads > 1 {
+        let scan = if threads > 1 {
             format!("sharded contact detection ({threads} threads)")
         } else {
             "single-threaded contact detection".to_string()
         };
-        println!(
-            "protocol {}, scenario {scenario}, workload {}: streaming contact supply (the trace is never materialized), {mode}",
-            args.protocol, args.workload
-        );
-        let t0 = std::time::Instant::now();
-        let run = match run_stream(&spec, args.seed) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        wall = t0.elapsed();
-        println!(
-            "{} nodes, {:.0} s, {} messages",
-            run.n_nodes, run.duration, run.n_messages
-        );
-        n = run.n_nodes;
-        duration = run.duration;
-        out = run.output;
-        record = RunRecord::capture_stream(&spec, n, duration, args.seed, &out, wall.as_secs_f64());
+        format!("streaming contact supply (the trace is never materialized), {scan}")
     } else {
-        // Resolve the experiment input through the shared cache — generated
-        // families and replayed traces take the same path.
-        let cache = ScenarioCache::new();
-        let ps = match cache.try_get_spec(&scenario, &args.workload, args.seed, args.duration) {
-            Ok(ps) => ps,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        n = ps.n_nodes;
-        duration = ps.scenario.trace.duration;
-        let ts = ps.scenario.trace.stats();
-        println!(
-            "protocol {}, scenario {scenario}, workload {}: {n} nodes, {:.0} s, {} contacts (mean duration {:.2} s), {} messages",
-            args.protocol,
-            args.workload,
-            duration,
-            ts.contacts,
-            ts.mean_duration,
-            ps.workload.len()
-        );
-        let t0 = std::time::Instant::now();
-        out = run_on_observed(&ps, &spec, args.seed);
-        wall = t0.elapsed();
-        record = RunRecord::capture_output(&spec, &ps, args.seed, &out, wall.as_secs_f64());
-    }
+        "materialized contact trace".to_string()
+    };
+    println!(
+        "protocol {}, scenario {scenario}, workload {}: {supply}",
+        args.protocol, args.workload
+    );
+
+    // One cell through the shared path: a run recording an event log is
+    // never served from (or published to) the store, since the side-effect
+    // artifact is the point of the run.
+    let store = resolve_store(args.store.as_deref(), args.no_store);
+    let cache = ScenarioCache::new();
+    let (record, out) = match run_cell(&cache, &spec, args.seed, store.as_ref()) {
+        Ok((record, Some(out))) => (record, out),
+        Ok((record, None)) => {
+            served_report(&spec, record, &args);
+            return;
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    };
+    let (n, duration) = (record.n_nodes, record.duration);
+    let wall = std::time::Duration::from_secs_f64(record.wall_s);
     let stats = &out.stats;
     // Both paths generate the workload from the same spec and seed, so the
     // creation times for latency percentiles can be regenerated here without
@@ -328,6 +276,18 @@ fn main() {
         .iter()
         .map(|m| m.create_at.as_secs())
         .collect();
+    if streams {
+        println!("{n} nodes, {duration:.0} s, {} messages", created_at.len());
+    } else {
+        let ps = cache.get_spec(&scenario, &args.workload, args.seed, args.duration);
+        let ts = ps.scenario.trace.stats();
+        println!(
+            "{n} nodes, {duration:.0} s, {} contacts (mean duration {:.2} s), {} messages",
+            ts.contacts,
+            ts.mean_duration,
+            created_at.len()
+        );
+    }
 
     println!("\n=== {} ===", args.protocol);
     println!("delivery ratio   {:.4}", stats.delivery_ratio());
@@ -394,13 +354,6 @@ fn main() {
 
     // The machine-readable view of the same run: one record through the
     // shared report pipeline, carrying the probe outputs.
-    if storable {
-        if let Some(store) = &store {
-            if let Err(e) = store.publish(&record) {
-                eprintln!("warning: store publish failed: {e}");
-            }
-        }
-    }
     let mut report = ReportSpec::new(format!("dtnrun: {} on {}", args.protocol, spec.scenario));
     report.push(record);
     if !report.write_all(&args.outs) {

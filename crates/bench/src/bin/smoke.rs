@@ -11,10 +11,10 @@
 //! Each protocol's run is captured as a report record, so `--out` emits the
 //! whole pass through the shared pipeline (single-seed cells).
 
-use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec, RunRecord};
+use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec};
 use dtn_bench::{
-    resolve_store, run_spec_observed, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec,
-    ScenarioCache, ScenarioSpec, WorkloadSpec,
+    resolve_store, run_cell, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec, ScenarioCache,
+    ScenarioSpec, WorkloadSpec,
 };
 use std::time::Instant;
 
@@ -121,11 +121,6 @@ fn main() {
     );
 
     let store = resolve_store(store_dir.as_deref(), no_store);
-    // Event-log probes record a side-effect artifact, so those runs bypass
-    // the store in both directions (same rule as the matrix runner).
-    let storable = !probes
-        .iter()
-        .any(|p| matches!(p, ProbeSpec::EventLog { .. }));
     let mut report = ReportSpec::new(format!(
         "Smoke: every protocol on {scenario} ({workload} workload, seed {seed})"
     ));
@@ -143,39 +138,12 @@ fn main() {
         if let Some(c) = ring_drain {
             spec = spec.with_ring_drain(c);
         }
-        let served = if storable {
-            store
-                .as_ref()
-                .and_then(|s| s.serve(&spec.cell_key(seed).encoded(), seed))
-        } else {
-            None
-        };
-        let cached = served.is_some();
         let t = Instant::now();
-        let (record, stats) = match served {
-            Some(record) => {
-                let stats = record.stats;
-                (record, stats)
-            }
-            None => {
-                let (run_ps, out) = run_spec_observed(&cache, &spec, seed);
-                let record = RunRecord::capture_output(
-                    &spec,
-                    &run_ps,
-                    seed,
-                    &out,
-                    t.elapsed().as_secs_f64(),
-                );
-                if storable {
-                    if let Some(store) = &store {
-                        if let Err(e) = store.publish(&record) {
-                            eprintln!("warning: store publish failed: {e}");
-                        }
-                    }
-                }
-                (record, out.stats.snapshot())
-            }
-        };
+        let (record, _) = run_cell(&cache, &spec, seed, store.as_ref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
+        let (cached, stats) = (record.cached, record.stats);
         let wall = t.elapsed();
         report.push(record);
         // Each row names the *resolved* spec in the `--protocol` grammar, so

@@ -1,9 +1,9 @@
 //! The lock-free sweep fabric: a work-stealing executor for `(spec, seed)`
 //! cell jobs.
 //!
-//! [`run_matrix_records`](crate::runner::run_matrix_records) used to hand
-//! cells to workers through a single `AtomicUsize` ticket counter and
-//! collect results into per-spec `Mutex<Vec<_>>` slots. Both are
+//! The matrix runner ([`run_matrix_records_stored`](crate::run_matrix_records_stored))
+//! used to hand cells to workers through a single `AtomicUsize` ticket
+//! counter and collect results into per-spec `Mutex<Vec<_>>` slots. Both are
 //! coordinator bottlenecks at million-cell scale: every worker contends on
 //! one cache line for the ticket, and every completion takes a lock. The
 //! fabric replaces them with the classic work-stealing shape:

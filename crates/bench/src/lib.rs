@@ -17,8 +17,9 @@
 //! matrix), `reportcheck` (schema validator for emitted JSON and TRACE/1.0
 //! event-log artifacts), `dtndiff` (drift classifier between two artifacts
 //! or two reports — the CI regression gate). All of them
-//! execute simulations through the [`runner`] layer's
-//! `RunSpec → SimStats` primitive ([`runner::run_spec`] / [`runner::run_on`]),
+//! execute simulations through the [`runner`] layer: one cell runs through
+//! [`run_cell`] (store serve, streamed or materialized compute, record
+//! capture, publish) and a sweep through [`run_matrix_records_stored`],
 //! every scenario/workload is a first-class
 //! [`dtn_mobility::ScenarioSpec`]/[`dtn_mobility::WorkloadSpec`] value, and
 //! every protocol — family *and* tuning parameters — is a first-class
@@ -73,9 +74,8 @@ pub use report::{
     Series,
 };
 pub use runner::{
-    replay_artifact, run_matrix, run_matrix_records, run_matrix_records_stored, run_matrix_with,
-    run_on, run_on_observed, run_spec, run_spec_observed, run_stream, CommunitySource, RunOutput,
-    RunSpec, StreamRun, SweepConfig,
+    replay_artifact, run_cell, run_matrix_records_stored, run_spec_observed, run_stream,
+    CommunitySource, RunOutput, RunSpec, StreamRun, SweepConfig,
 };
 pub use scenario::{BuiltScenario, ScenarioCache, ScenarioKey, DEFAULT_SCENARIO_CACHE_CAP};
 pub use store::{resolve_store, CellStore, GcOutcome, StoreStats, DEFAULT_STORE_ROOT};

@@ -349,6 +349,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of unescaped characters up to the next `"` or `\`
+        // as one slice. Both delimiters are ASCII and the document is a
+        // `&str`, so every run is whole UTF-8 and validating it is linear.
+        let start = *pos;
+        while matches!(bytes.get(*pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
@@ -369,12 +377,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| format!("bad \\u escape: {e}"))?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
+                        // Four ASCII hex digits: both conversions are total.
+                        let code = u32::from_str_radix(std::str::from_utf8(hex).unwrap(), 16)
+                            .expect("four hex digits");
                         // Surrogate pairs are not needed for this format's
                         // ASCII-dominated payloads; reject them loudly.
                         let c = char::from_u32(code)
@@ -386,12 +393,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+            Some(b) => {
+                return Err(format!(
+                    "unescaped control character 0x{b:02x} in string at byte {pos}",
+                    pos = *pos
+                ))
             }
         }
     }
@@ -461,6 +467,8 @@ mod tests {
         let doc = Json::obj([
             ("a", Json::num(0.1 + 0.2)),
             ("b", Json::str("x \"y\" \\ z\nw")),
+            // Multi-byte characters next to escapes and at run boundaries.
+            ("é", Json::str("ü\"€\\😀\n→\u{1}ß")),
             (
                 "c",
                 Json::arr(vec![Json::Null, Json::Bool(true), Json::uint(9)]),
@@ -493,6 +501,16 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+        // Raw control characters must be escaped inside strings.
+        assert!(Json::parse("\"a\u{1}b\"").is_err());
+        assert!(Json::parse("\"tab\there\"").is_err());
+        assert!(Json::parse("\"new\nline\"").is_err());
+        // A `\u` escape takes exactly four hex digits — no sign, no short
+        // or non-hex forms.
+        assert!(Json::parse(r#""\u+041""#).is_err());
+        assert!(Json::parse(r#""\u-041""#).is_err());
+        assert!(Json::parse(r#""\u04g1""#).is_err());
+        assert!(Json::parse(r#""\u041""#).is_err());
     }
 
     /// Only the RFC 8259 number grammar is accepted — what this parser

@@ -27,17 +27,15 @@
 //! argument parser ([`CommonArgs`]).
 //!
 //! ```
-//! use dtn_bench::report::{ReportSpec, RunRecord};
-//! use dtn_bench::{run_spec, ProtocolSpec, RunSpec, ScenarioCache};
+//! use dtn_bench::report::ReportSpec;
+//! use dtn_bench::{run_cell, ProtocolSpec, RunSpec, ScenarioCache};
 //!
-//! // Spec parsing → run → report: the whole pipeline in five lines.
+//! // Spec parsing → run → report: the whole pipeline in four lines.
 //! let spec = RunSpec::new("EER", 8, ProtocolSpec::parse("eer:lambda=4").unwrap())
 //!     .with_duration(300.0);
-//! let cache = ScenarioCache::new();
-//! let ps = cache.get_spec(&spec.scenario, &spec.workload, 1, spec.duration);
-//! let stats = run_spec(&cache, &spec, 1);
+//! let (record, _) = run_cell(&ScenarioCache::new(), &spec, 1, None).unwrap();
 //! let mut report = ReportSpec::new("quick report");
-//! report.push(RunRecord::capture(&spec, &ps, 1, &stats, 0.0));
+//! report.push(record);
 //!
 //! // Emit → parse is the identity on the records.
 //! let text = report.to_json_string();

@@ -10,17 +10,16 @@
 //! min, max and a 95 % normal-approximation confidence interval).
 //!
 //! ```
-//! use dtn_bench::report::{ReportSpec, RunRecord};
-//! use dtn_bench::{run_spec, ProtocolSpec, RunSpec, ScenarioCache};
+//! use dtn_bench::report::ReportSpec;
+//! use dtn_bench::{run_cell, ProtocolSpec, RunSpec, ScenarioCache};
 //!
 //! let cache = ScenarioCache::new();
 //! let spec = RunSpec::new("EER", 8, ProtocolSpec::parse("eer").unwrap())
 //!     .with_duration(300.0);
 //! let mut report = ReportSpec::new("doc example");
 //! for seed in 1..=2 {
-//!     let ps = cache.get_spec(&spec.scenario, &spec.workload, seed, spec.duration);
-//!     let stats = run_spec(&cache, &spec, seed);
-//!     report.push(RunRecord::capture(&spec, &ps, seed, &stats, 0.0));
+//!     let (record, _) = run_cell(&cache, &spec, seed, None).unwrap();
+//!     report.push(record);
 //! }
 //! let cells = report.cells();
 //! assert_eq!(cells.len(), 1, "two seeds of one spec fold into one cell");
@@ -31,7 +30,7 @@
 use super::metrics::{metric, MetricDef, METRICS};
 use crate::runner::{RunOutput, RunSpec};
 use crate::scenario::BuiltScenario;
-use dtn_sim::{LatencyHistogram, MetricPoint, SimStats, StatsSnapshot, TimeSeries};
+use dtn_sim::{LatencyHistogram, MetricPoint, StatsSnapshot, TimeSeries};
 
 /// Format version stamped into every emitted document; bump when the field
 /// set changes shape. Version 2 added the optional per-record time-series
@@ -94,39 +93,10 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Captures the record for one executed cell: `spec` supplies the
-    /// canonical identity, `ps` the resolved scenario shape, `stats` the
-    /// result and `wall_s` the measured execution time. Probe outputs are
-    /// absent; use [`RunRecord::capture_output`] for observed runs.
-    pub fn capture(
-        spec: &RunSpec,
-        ps: &BuiltScenario,
-        seed: u64,
-        stats: &SimStats,
-        wall_s: f64,
-    ) -> Self {
-        let key = spec.cell_key(seed);
-        RunRecord {
-            series: spec.series.clone(),
-            scenario: spec.scenario.to_string(),
-            workload: spec.workload.to_string(),
-            protocol: spec.protocol.to_string(),
-            seed,
-            n_nodes: ps.n_nodes,
-            duration: ps.scenario.trace.duration,
-            cell: key.encoded(),
-            group: key.group_encoded(),
-            stats: stats.snapshot(),
-            wall_s,
-            timeseries: None,
-            latency: None,
-            artifact: None,
-            cached: false,
-        }
-    }
-
-    /// [`RunRecord::capture`] from a full [`RunOutput`], carrying any probe
-    /// results (time series, latency histogram) into the record.
+    /// Captures the record for one cell executed on a materialized scenario:
+    /// `spec` supplies the canonical identity, `ps` the resolved scenario
+    /// shape, `out` the result and probe outputs and `wall_s` the measured
+    /// execution time.
     pub fn capture_output(
         spec: &RunSpec,
         ps: &BuiltScenario,
@@ -134,12 +104,14 @@ impl RunRecord {
         out: &RunOutput,
         wall_s: f64,
     ) -> Self {
-        RunRecord {
-            timeseries: out.timeseries.clone(),
-            latency: out.latency.clone(),
-            artifact: out.artifact.clone(),
-            ..Self::capture(spec, ps, seed, &out.stats, wall_s)
-        }
+        Self::capture_stream(
+            spec,
+            ps.n_nodes,
+            ps.scenario.trace.duration,
+            seed,
+            out,
+            wall_s,
+        )
     }
 
     /// [`RunRecord::capture_output`] for a streaming run
@@ -438,7 +410,7 @@ impl ReportSpec {
 
     /// The execution-plan view: one legacy [`MetricPoint`] per consecutive
     /// `seeds_per_spec` records — i.e. one point per `RunSpec`, in spec
-    /// order, exactly as `run_matrix` reduces. Positional consumers (the
+    /// order, exactly as a figure panel reduces them. Positional consumers (the
     /// figure panels, which index points by `spec × node count`) must use
     /// this rather than [`ReportSpec::cells`]: cells merge records sharing
     /// a group identity, and distinct specs *can* share one — trace replay

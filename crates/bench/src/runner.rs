@@ -1,19 +1,19 @@
 //! The single execution layer every binary, bench and test drives
 //! simulations through.
 //!
-//! The primitive is `RunSpec → SimStats`: [`run_spec`] resolves the spec's
-//! scenario through a shared [`ScenarioCache`] and executes one deterministic
-//! `(spec, seed)` cell; [`run_on`] is the same execution against an
-//! explicitly supplied scenario (trace replay, pre-built inputs). A sweep is
-//! a matrix of such cells: [`run_matrix`] fans them out over worker threads
-//! with `std::thread::scope` and a shared atomic work index, then reduces
-//! per-point results in deterministic order (results are keyed, not raced),
-//! so the thread count never changes the output. [`run_matrix_records`] is
-//! the same fan-out returning provenance-full
-//! [`RunRecord`]s for the report pipeline.
+//! One `(spec, seed)` cell has one way to run: [`run_cell`] serves it from
+//! the result store when it can, else computes it — streaming the contact
+//! supply or materializing the trace, per [`RunSpec::streams`] — captures a
+//! provenance-full [`RunRecord`] and publishes it. A sweep is a matrix of
+//! such cells: [`run_matrix_records_stored`] serves what it can, fans the
+//! misses out over the work-stealing [`fabric`](crate::fabric) and merges
+//! results by job index (results are keyed, not raced), so the thread count
+//! never changes the output. [`run_spec_observed`] and [`run_stream`] are
+//! the two raw compute paths underneath; [`replay_artifact`] folds a record
+//! out of a recorded TRACE/1.0 artifact without running the engine.
 //!
 //! ```
-//! use dtn_bench::{run_matrix, ProtocolSpec, RunSpec, SweepConfig};
+//! use dtn_bench::{run_matrix_records_stored, ProtocolSpec, RunSpec, ScenarioCache, SweepConfig};
 //!
 //! // Two protocols on the paper's 8-node bus-city, one seed each.
 //! let specs = vec![
@@ -23,20 +23,21 @@
 //!         .with_duration(300.0),
 //! ];
 //! let cfg = SweepConfig { seeds: 1, threads: 2, verbose: false };
-//! let points = run_matrix(&specs, cfg);
-//! assert_eq!(points.len(), 2, "one averaged point per spec");
-//! assert!(points.iter().all(|p| p.runs == 1));
+//! let records = run_matrix_records_stored(&ScenarioCache::new(), &specs, cfg, None);
+//! assert_eq!(records.len(), 2, "one record per (spec, seed)");
+//! assert!(records.iter().all(|r| !r.cached));
 //! ```
 
 use crate::probes::ProbeSpec;
 use crate::protocols::ProtocolSpec;
 use crate::report::RunRecord;
 use crate::scenario::{BuiltScenario, ScenarioCache, ScenarioKey};
-use ce_core::{detect_over_trace, detected_map, CommunityMap, DetectorConfig};
+use crate::store::CellStore;
+use ce_core::CommunityMap;
 use dtn_mobility::{ScenarioSpec, WorkloadSpec};
 use dtn_sim::{
-    EventLogWriter, LatencyHistogram, LatencyHistogramProbe, MetricPoint, SimConfig, SimObserver,
-    SimStats, Simulation, TimeSeries, TimeSeriesProbe, TraceMeta, TraceReader,
+    EventLogWriter, LatencyHistogram, LatencyHistogramProbe, SimConfig, SimObserver, SimStats,
+    Simulation, TimeSeries, TimeSeriesProbe, TraceMeta, TraceReader,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,16 +55,15 @@ pub enum CommunitySource {
 }
 
 impl CommunitySource {
-    /// Materialises the community map for `ps`.
-    fn resolve(&self, ps: &BuiltScenario) -> Arc<CommunityMap> {
+    /// Materialises the community map for `ps`. Detection replays the
+    /// whole trace, so it goes through `cache`: every cell (and any
+    /// agreement metrics) share one pass per scenario.
+    fn resolve(&self, cache: &ScenarioCache, ps: &BuiltScenario) -> Arc<CommunityMap> {
         match self {
             CommunitySource::GroundTruth => {
                 Arc::new(CommunityMap::new(ps.scenario.communities.clone()))
             }
-            CommunitySource::Detected => {
-                let dets = detect_over_trace(&ps.scenario.trace, DetectorConfig::default());
-                Arc::new(detected_map(&dets))
-            }
+            CommunitySource::Detected => cache.detected_communities(ps),
             CommunitySource::Fixed(map) => Arc::clone(map),
         }
     }
@@ -150,9 +150,7 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the scenario horizon (seconds). Honored by [`run_spec`]
-    /// (which builds the scenario); [`run_on`] takes its scenario as given
-    /// and asserts that this override, if set, matches it.
+    /// Overrides the scenario horizon (seconds).
     pub fn with_duration(mut self, seconds: f64) -> Self {
         self.duration = Some(seconds);
         self
@@ -216,6 +214,21 @@ impl RunSpec {
         } else {
             1
         }
+    }
+
+    /// Whether [`run_cell`] streams this cell's contact supply instead of
+    /// materializing the whole trace: generated scenarios of at least 2 000
+    /// declared nodes stream (their trace is too large to hold, and the
+    /// streamed run is bit-identical anyway); smaller scenarios and trace
+    /// replay materialize, and so does a protocol that needs
+    /// [`CommunitySource::Detected`] communities, since online detection
+    /// replays a materialized trace.
+    pub fn streams(&self) -> bool {
+        let city_scale = self.scenario.default_duration().is_some()
+            && self.scenario.declared_nodes().is_some_and(|n| n >= 2000);
+        let needs_trace = self.protocol.needs_communities()
+            && matches!(self.communities, CommunitySource::Detected);
+        city_scale && !needs_trace
     }
 
     /// The probes actually attached to a run: the *first* of each kind. A
@@ -294,7 +307,7 @@ impl SweepConfig {
 
     /// The seed count actually used: at least 1, whatever the configured
     /// value. `seeds: 0` would otherwise silently reduce every point to an
-    /// all-zero [`MetricPoint`] with `runs: 0`.
+    /// all-zero [`MetricPoint`](dtn_sim::MetricPoint) with `runs: 0`.
     pub fn effective_seeds(&self) -> u32 {
         self.seeds.max(1)
     }
@@ -330,64 +343,111 @@ pub struct RunOutput {
     pub artifact: Option<String>,
 }
 
-/// Executes one `(spec, seed)` cell, resolving the scenario through `cache`.
+/// Runs one `(spec, seed)` cell: serves it from `store` when a valid entry
+/// exists, else computes it — streamed or materialized per
+/// [`RunSpec::streams`] — captures the record and publishes it (a failed
+/// publish is a warning, never an error). The [`RunOutput`] is `None` when
+/// the cell was served. Cells whose probes record an event log bypass the
+/// store in both directions.
+///
+/// # Errors
+/// Fails when the cell's scenario cannot be built (e.g. an unreadable trace
+/// file).
+pub fn run_cell(
+    cache: &ScenarioCache,
+    spec: &RunSpec,
+    seed: u64,
+    store: Option<&CellStore>,
+) -> Result<(RunRecord, Option<RunOutput>), String> {
+    let store = cell_store(spec, store);
+    if let Some(record) = serve(store, spec, seed) {
+        return Ok((record, None));
+    }
+    let (record, out) = compute_cell(cache, spec, seed)?;
+    publish(store, &record);
+    Ok((record, Some(out)))
+}
+
+/// The store a cell may use. A cell whose effective probes record an event
+/// log gets none: its side-effect artifact cannot be served from a memo,
+/// and serving the record without the artifact would break replay
+/// provenance.
+fn cell_store<'a>(spec: &RunSpec, store: Option<&'a CellStore>) -> Option<&'a CellStore> {
+    store.filter(|_| {
+        !spec
+            .effective_probes()
+            .iter()
+            .any(|p| matches!(p, ProbeSpec::EventLog { .. }))
+    })
+}
+
+fn serve(store: Option<&CellStore>, spec: &RunSpec, seed: u64) -> Option<RunRecord> {
+    store?.serve(&spec.cell_key(seed).encoded(), seed)
+}
+
+fn publish(store: Option<&CellStore>, record: &RunRecord) {
+    if let Some(Err(e)) = store.map(|s| s.publish(record)) {
+        eprintln!("warning: store publish failed: {e}");
+    }
+}
+
+/// Computes one cell on the path [`RunSpec::streams`] picks and captures its
+/// record, timing the whole cell (scenario resolution included).
+fn compute_cell(
+    cache: &ScenarioCache,
+    spec: &RunSpec,
+    seed: u64,
+) -> Result<(RunRecord, RunOutput), String> {
+    let t0 = std::time::Instant::now();
+    if spec.streams() {
+        let run = run_stream(spec, seed)?;
+        let wall_s = t0.elapsed().as_secs_f64();
+        let record =
+            RunRecord::capture_stream(spec, run.n_nodes, run.duration, seed, &run.output, wall_s);
+        return Ok((record, run.output));
+    }
+    let ps = cache.try_get_spec(&spec.scenario, &spec.workload, seed, spec.duration)?;
+    let out = run_on_observed(cache, &ps, spec, seed);
+    let record = RunRecord::capture_output(spec, &ps, seed, &out, t0.elapsed().as_secs_f64());
+    Ok((record, out))
+}
+
+/// Executes one `(spec, seed)` cell on a materialized trace resolved through
+/// `cache`, returning the scenario alongside the full [`RunOutput`] so
+/// callers that need the scenario shape (record capture, report headers)
+/// do not pay a second cache lookup.
 ///
 /// This is the deterministic core primitive: the same `(spec, seed)` always
 /// produces the same [`SimStats`], whichever thread or binary runs it.
-pub fn run_spec(cache: &ScenarioCache, spec: &RunSpec, seed: u64) -> SimStats {
-    run_spec_observed(cache, spec, seed).1.stats
-}
-
-/// [`run_spec`] returning the resolved [`BuiltScenario`] alongside the full
-/// [`RunOutput`], so callers that need the scenario shape (record capture,
-/// report headers) do not pay a second cache lookup per cell.
+///
+/// # Panics
+/// Panics if the scenario cannot be built — use [`run_cell`] for
+/// CLI-supplied trace files.
 pub fn run_spec_observed(
     cache: &ScenarioCache,
     spec: &RunSpec,
     seed: u64,
 ) -> (BuiltScenario, RunOutput) {
     let ps = cache.get_spec(&spec.scenario, &spec.workload, seed, spec.duration);
-    if spec.protocol.needs_communities() && matches!(spec.communities, CommunitySource::Detected) {
-        // Detection replays the whole trace; route it through the cache so
-        // every cell (and any agreement metrics) share one pass per scenario.
-        let fixed = RunSpec {
-            communities: CommunitySource::Fixed(cache.detected_communities(&ps)),
-            ..spec.clone()
-        };
-        let out = run_on_observed(&ps, &fixed, seed);
-        return (ps, out);
-    }
-    let out = run_on_observed(&ps, spec, seed);
+    let out = run_on_observed(cache, &ps, spec, seed);
     (ps, out)
 }
 
-/// Executes `spec` against an explicitly supplied scenario — the path for
-/// replayed real-world traces and pre-built inputs. `seed` feeds
-/// [`SimConfig::paper`] (router-private randomness) only; the scenario is
-/// taken as given — in particular [`RunSpec::duration`] cannot re-shape an
-/// already-built scenario (that resolution happens in [`run_spec`]), so a
-/// mismatch between the two is a caller bug.
-pub fn run_on(ps: &BuiltScenario, spec: &RunSpec, seed: u64) -> SimStats {
-    run_on_observed(ps, spec, seed).stats
-}
-
-/// [`run_on`] with probe outputs: attaches one observer per
-/// [`RunSpec::probes`] entry, runs, and extracts each probe's result.
-pub fn run_on_observed(ps: &BuiltScenario, spec: &RunSpec, seed: u64) -> RunOutput {
-    assert!(
-        spec.duration
-            .is_none_or(|d| (d - ps.scenario.trace.duration).abs() < 1e-9),
-        "RunSpec duration override ({:?}) does not match the supplied scenario's horizon ({}); \
-         resolve the spec through run_spec/ScenarioCache instead",
-        spec.duration,
-        ps.scenario.trace.duration
-    );
+/// Runs `spec` on the already-resolved scenario `ps` (built through `cache`
+/// for this spec's horizon): attaches one observer per [`RunSpec::probes`]
+/// entry, runs, and extracts each probe's result.
+fn run_on_observed(
+    cache: &ScenarioCache,
+    ps: &BuiltScenario,
+    spec: &RunSpec,
+    seed: u64,
+) -> RunOutput {
     // Community maps are resolved only for protocols that consume one (CR);
     // the ground-truth clone and especially online detection are not free.
     let communities = spec
         .protocol
         .needs_communities()
-        .then(|| spec.communities.resolve(ps));
+        .then(|| spec.communities.resolve(cache, ps));
     let workload = spec.resolved_workload(ps.workload.as_ref().clone());
     let n_messages = workload.len();
     let sim = Simulation::new(
@@ -427,7 +487,7 @@ pub struct StreamRun {
 /// [`dtn_mobility::StreamScenario`] and pulled by the engine window by
 /// window, so peak memory stays bounded by the generation window instead of
 /// the whole-horizon trace. For generated scenario families the resulting
-/// [`SimStats`] are bit-identical to [`run_spec`]; at city scale
+/// [`SimStats`] are bit-identical to [`run_spec_observed`]; at city scale
 /// (`paper:n=100000`) this is the only feasible path.
 ///
 /// [`CommunitySource::Detected`] is rejected: online detection replays a
@@ -583,61 +643,27 @@ fn observe(
     out
 }
 
-/// Executes every `(spec, seed)` combination and reduces each spec's runs
-/// into a [`MetricPoint`]. Returns points in the order of `specs`.
-pub fn run_matrix(specs: &[RunSpec], cfg: SweepConfig) -> Vec<MetricPoint> {
-    run_matrix_with(&ScenarioCache::new(), specs, cfg)
-}
-
-/// [`run_matrix`] against a caller-supplied scenario cache, so binaries that
-/// also need the raw scenarios (e.g. to compare community maps) build each
-/// one exactly once.
-pub fn run_matrix_with(
-    cache: &ScenarioCache,
-    specs: &[RunSpec],
-    cfg: SweepConfig,
-) -> Vec<MetricPoint> {
-    let records = run_matrix_records(cache, specs, cfg);
-    records
-        .chunks(cfg.effective_seeds() as usize)
-        .map(|runs| MetricPoint::from_snapshots(&runs.iter().map(|r| r.stats).collect::<Vec<_>>()))
-        .collect()
-}
-
-/// The record-producing core of the matrix runner: executes every
-/// `(spec, seed)` cell over the worker pool and returns one provenance-full
-/// [`RunRecord`] per cell — including measured wall-clock — flat, in
-/// deterministic `(spec, seed)` order (`specs.len() × seeds` entries).
+/// The matrix runner: executes every `(spec, seed)` cell and returns one
+/// provenance-full [`RunRecord`] per cell — including measured wall-clock —
+/// flat, in deterministic (spec-major, seed-minor) order
+/// (`specs.len() × seeds` entries).
 ///
-/// The simulation results are bit-deterministic whatever the thread count;
-/// only each record's `wall_s` varies between invocations (it measures the
-/// host, not the network).
-pub fn run_matrix_records(
-    cache: &ScenarioCache,
-    specs: &[RunSpec],
-    cfg: SweepConfig,
-) -> Vec<RunRecord> {
-    run_matrix_records_stored(cache, specs, cfg, None)
-}
-
-/// [`run_matrix_records`] backed by an optional persistent result store:
-/// the job list is first partitioned into hits (served from the store,
-/// marked [`RunRecord::cached`]) and misses (scheduled over the worker
-/// pool exactly as the cold path would, then published to the store on
-/// completion). The returned vector is bitwise identical to a cold run's
-/// on every field except `wall_s`/`cached`, in the same deterministic
-/// (spec-major, seed-minor) order — hits and misses merge by job index,
-/// never by completion order.
+/// With a `store`, the job list is first partitioned into hits (served,
+/// marked [`RunRecord::cached`]) and misses (computed over the worker pool
+/// exactly as [`run_cell`] computes one cell, then published). Hits and
+/// misses merge by job index, never by completion order, so the result is
+/// bitwise identical to a store-less run on every field except
+/// `wall_s`/`cached`, whatever the thread count. Event-log cells bypass the
+/// store, as in [`run_cell`].
 ///
-/// Cells whose effective probe set records an event log are computed and
-/// left out of the store in both directions: their side-effect artifact
-/// cannot be served from a memo, and serving the record without the
-/// artifact would break replay provenance.
+/// # Panics
+/// Panics if a cell's scenario cannot be built — sweep cells are validated
+/// configuration, not user input.
 pub fn run_matrix_records_stored(
     cache: &ScenarioCache,
     specs: &[RunSpec],
     cfg: SweepConfig,
-    store: Option<&crate::store::CellStore>,
+    store: Option<&CellStore>,
 ) -> Vec<RunRecord> {
     let jobs: Vec<(usize, u64)> = (0..specs.len())
         .flat_map(|i| (0..cfg.effective_seeds()).map(move |s| (i, u64::from(s) + 1)))
@@ -645,24 +671,10 @@ pub fn run_matrix_records_stored(
     let total = jobs.len();
 
     // Serve pass: cheap sequential file reads, before any worker spins up.
-    let mut slots: Vec<Option<RunRecord>> = vec![None; total];
-    let storable: Vec<bool> = jobs
+    let mut slots: Vec<Option<RunRecord>> = jobs
         .iter()
-        .map(|&(spec_idx, _)| {
-            !specs[spec_idx]
-                .effective_probes()
-                .iter()
-                .any(|p| matches!(p, crate::ProbeSpec::EventLog { .. }))
-        })
+        .map(|&(i, seed)| serve(cell_store(&specs[i], store), &specs[i], seed))
         .collect();
-    if let Some(store) = store {
-        for (j, &(spec_idx, seed)) in jobs.iter().enumerate() {
-            if storable[j] {
-                let cell = specs[spec_idx].cell_key(seed).encoded();
-                slots[j] = store.serve(&cell, seed);
-            }
-        }
-    }
     let hits = slots.iter().filter(|s| s.is_some()).count();
     if store.is_some() && cfg.verbose {
         eprintln!(
@@ -680,12 +692,8 @@ pub fn run_matrix_records_stored(
     let computed = crate::fabric::run_indexed(miss_jobs.len(), cfg.effective_threads(), |m| {
         let (spec_idx, seed) = jobs[miss_jobs[m]];
         let spec = &specs[spec_idx];
-        let t0 = std::time::Instant::now();
-        // One resolution per cell: the observed primitive hands back
-        // the scenario it already pulled through the cache.
-        let (ps, out) = run_spec_observed(cache, spec, seed);
-        let wall_s = t0.elapsed().as_secs_f64();
-        let record = RunRecord::capture_output(spec, &ps, seed, &out, wall_s);
+        let (record, out) = compute_cell(cache, spec, seed)
+            .unwrap_or_else(|e| panic!("cannot run cell {}: {e}", spec.series));
         let stats = &out.stats;
         if cfg.verbose {
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -711,13 +719,7 @@ pub fn run_matrix_records_stored(
     // Publish pass, then the deterministic merge by job index.
     for (m, record) in computed.into_iter().enumerate() {
         let j = miss_jobs[m];
-        if let Some(store) = store {
-            if storable[j] {
-                if let Err(e) = store.publish(&record) {
-                    eprintln!("warning: store publish failed: {e}");
-                }
-            }
-        }
+        publish(cell_store(&specs[jobs[j].0], store), &record);
         slots[j] = Some(record);
     }
     slots
@@ -727,7 +729,7 @@ pub fn run_matrix_records_stored(
 }
 
 /// Turns a recorded TRACE/1.0 artifact plus a probe set into a normal
-/// [`RunRecord`] — the report-side twin of [`run_spec_observed`] that never
+/// [`RunRecord`] — the report-side twin of [`run_cell`] that never
 /// touches the engine. The reader validates the hash chain, the run's
 /// [`SimStats`] are re-folded from the recorded stream and each requested
 /// probe is replayed over it; because the probes are pure functions of the
@@ -844,6 +846,15 @@ fn cell_with_probes(recorded: &str, probes: &[ProbeSpec]) -> String {
 mod tests {
     use super::*;
     use crate::protocols::{ProtocolKind, ProtocolSpec};
+    use crate::report::ReportSpec;
+    use dtn_sim::MetricPoint;
+
+    /// Per-spec seed means of a store-less matrix run.
+    fn run_matrix(specs: &[RunSpec], cfg: SweepConfig) -> Vec<MetricPoint> {
+        let mut report = ReportSpec::new("matrix");
+        report.records = run_matrix_records_stored(&ScenarioCache::new(), specs, cfg, None);
+        report.points(cfg.effective_seeds() as usize)
+    }
 
     /// The matrix runner produces one averaged point per spec and is
     /// deterministic across repeats.
@@ -1018,13 +1029,13 @@ mod tests {
         let cache = ScenarioCache::new();
         let spec = RunSpec::new("Direct", 8, ProtocolSpec::paper(ProtocolKind::Direct))
             .with_duration(500.0);
-        let _ = run_spec(&cache, &spec, 1);
-        let ps = cache.get_with_duration(8, 1, Some(500.0));
+        let _ = run_spec_observed(&cache, &spec, 1);
+        let ps = cache.get_spec(&spec.scenario, &spec.workload, 1, Some(500.0));
         assert_eq!(ps.scenario.trace.duration, 500.0);
         assert_eq!(
             cache.len(),
             1,
-            "run_spec and get_with_duration share the entry"
+            "run_spec_observed and get_spec share the entry"
         );
     }
 }

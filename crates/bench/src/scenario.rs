@@ -10,7 +10,7 @@
 
 use dtn_mobility::scenario::Scenario;
 use dtn_mobility::{ScenarioSpec, WorkloadSpec};
-use dtn_sim::{ContactTrace, MessageSpec};
+use dtn_sim::MessageSpec;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -160,42 +160,6 @@ impl BuiltScenario {
             key,
         })
     }
-
-    /// Builds the §V-A paper scenario for `n_nodes` nodes and `seed`.
-    pub fn build(n_nodes: u32, seed: u64) -> Self {
-        Self::from_specs(
-            &ScenarioSpec::paper(n_nodes),
-            &WorkloadSpec::PaperUniform,
-            seed,
-            None,
-        )
-        .expect("paper scenario build cannot fail")
-    }
-
-    /// A reduced paper variant (shorter horizon) used by Criterion benches
-    /// so a bench iteration stays sub-second.
-    pub fn build_scaled(n_nodes: u32, seed: u64, duration: f64) -> Self {
-        Self::from_specs(
-            &ScenarioSpec::paper(n_nodes),
-            &WorkloadSpec::PaperUniform,
-            seed,
-            Some(duration),
-        )
-        .expect("paper scenario build cannot fail")
-    }
-
-    /// Wraps a replayed (e.g. real-world) contact trace as a runnable
-    /// scenario: the paper's traffic model is fitted to the trace's node
-    /// count and horizon, and communities are detected online.
-    pub fn from_trace(trace: ContactTrace, seed: u64) -> Self {
-        Self::from_specs(
-            &ScenarioSpec::trace(Arc::new(trace)),
-            &WorkloadSpec::PaperUniform,
-            seed,
-            None,
-        )
-        .expect("an already-parsed trace cannot fail to build")
-    }
 }
 
 /// Replaces a replayed trace's placeholder communities with the output of
@@ -335,33 +299,11 @@ impl ScenarioCache {
         Ok(out)
     }
 
-    /// Returns the paper-horizon bus-city scenario for `(n_nodes, seed)`,
-    /// building it on first use.
-    pub fn get(&self, n_nodes: u32, seed: u64) -> BuiltScenario {
-        self.get_with_duration(n_nodes, seed, None)
-    }
-
-    /// The paper bus-city for `(n_nodes, seed)` with an optional horizon
-    /// override (`None` = the paper's duration), building it on first use.
-    pub fn get_with_duration(
-        &self,
-        n_nodes: u32,
-        seed: u64,
-        duration: Option<f64>,
-    ) -> BuiltScenario {
-        self.get_spec(
-            &ScenarioSpec::paper(n_nodes),
-            &WorkloadSpec::PaperUniform,
-            seed,
-            duration,
-        )
-    }
-
     /// The online-detected community map for `bs`, memoised per scenario so
     /// every consumer — sweep runs, agreement metrics — shares one detection
     /// pass per trace. Memoisation requires `bs` to be *this cache's* entry
     /// (checked by pointer identity, so a foreign scenario — e.g. built
-    /// directly via [`BuiltScenario::from_trace`] — can never collide with a
+    /// directly via [`BuiltScenario::from_specs`] — can never collide with a
     /// cached one); foreign scenarios are detected fresh.
     pub fn detected_communities(&self, bs: &BuiltScenario) -> Arc<ce_core::CommunityMap> {
         let ours = self
@@ -402,7 +344,28 @@ impl ScenarioCache {
 mod tests {
     use super::*;
     use dtn_mobility::scenario::ScenarioConfig;
-    use dtn_sim::Contact;
+    use dtn_sim::{Contact, ContactTrace};
+
+    /// The paper bus-city for `(n, seed)` at an optional horizon override.
+    fn bus_city(cache: &ScenarioCache, n: u32, seed: u64, duration: Option<f64>) -> BuiltScenario {
+        cache.get_spec(
+            &ScenarioSpec::paper(n),
+            &WorkloadSpec::PaperUniform,
+            seed,
+            duration,
+        )
+    }
+
+    /// `tiny_trace` wrapped as a runnable replay scenario.
+    fn replayed(seed: u64) -> BuiltScenario {
+        BuiltScenario::from_specs(
+            &ScenarioSpec::trace(Arc::new(tiny_trace())),
+            &WorkloadSpec::PaperUniform,
+            seed,
+            None,
+        )
+        .unwrap()
+    }
 
     fn tiny_trace() -> ContactTrace {
         ContactTrace::new(
@@ -421,11 +384,11 @@ mod tests {
     fn cache_reuses_scenarios() {
         let cache = ScenarioCache::new();
         assert!(cache.is_empty());
-        let a = cache.get(8, 1);
-        let b = cache.get(8, 1);
+        let a = bus_city(&cache, 8, 1, None);
+        let b = bus_city(&cache, 8, 1, None);
         assert_eq!(cache.len(), 1);
         assert!(Arc::ptr_eq(&a.scenario, &b.scenario));
-        let c = cache.get(8, 2);
+        let c = bus_city(&cache, 8, 2, None);
         assert_eq!(cache.len(), 2);
         assert!(!Arc::ptr_eq(&a.scenario, &c.scenario));
     }
@@ -434,35 +397,35 @@ mod tests {
     fn cache_evicts_least_recently_used_beyond_capacity() {
         let cache = ScenarioCache::with_capacity(2);
         assert_eq!(cache.capacity(), 2);
-        cache.get(8, 1);
-        let _b = cache.get(8, 2);
+        bus_city(&cache, 8, 1, None);
+        let _b = bus_city(&cache, 8, 2, None);
         // Re-get seed 1 so seed 2 becomes the LRU victim, and memoise seed
         // 1's detection so we can observe it survives eviction of others.
-        let a = cache.get(8, 1);
+        let a = bus_city(&cache, 8, 1, None);
         let det_a = cache.detected_communities(&a);
-        let c = cache.get(8, 3);
+        let c = bus_city(&cache, 8, 3, None);
         assert_eq!(cache.len(), 2, "capacity bounds the cache");
         // Seed 1 (recently used) and seed 3 (just inserted) survive; seed 2
         // was evicted, so re-requesting it rebuilds rather than errors.
-        let a2 = cache.get(8, 1);
+        let a2 = bus_city(&cache, 8, 1, None);
         assert!(Arc::ptr_eq(&a.scenario, &a2.scenario));
         assert!(Arc::ptr_eq(&det_a, &cache.detected_communities(&a2)));
-        let b2 = cache.get(8, 2);
+        let b2 = bus_city(&cache, 8, 2, None);
         assert_eq!(b2.scenario.trace.duration, c.scenario.trace.duration);
         assert_eq!(cache.len(), 2);
         // The clamp: a zero capacity still caches the current scenario.
         let one = ScenarioCache::with_capacity(0);
         assert_eq!(one.capacity(), 1);
-        one.get(8, 1);
-        one.get(8, 2);
+        bus_city(&one, 8, 1, None);
+        bus_city(&one, 8, 2, None);
         assert_eq!(one.len(), 1);
     }
 
     #[test]
     fn cache_keys_include_duration() {
         let cache = ScenarioCache::new();
-        let paper = cache.get(8, 1);
-        let short = cache.get_with_duration(8, 1, Some(400.0));
+        let paper = bus_city(&cache, 8, 1, None);
+        let short = bus_city(&cache, 8, 1, Some(400.0));
         assert_eq!(cache.len(), 2);
         assert!(!Arc::ptr_eq(&paper.scenario, &short.scenario));
         assert_eq!(short.scenario.trace.duration, 400.0);
@@ -474,8 +437,8 @@ mod tests {
     fn default_and_explicit_paper_duration_share_entry() {
         let cache = ScenarioCache::new();
         let paper_d = ScenarioConfig::paper(8).duration;
-        let a = cache.get(8, 1);
-        let b = cache.get_with_duration(8, 1, Some(paper_d));
+        let a = bus_city(&cache, 8, 1, None);
+        let b = bus_city(&cache, 8, 1, Some(paper_d));
         assert_eq!(cache.len(), 1);
         assert!(Arc::ptr_eq(&a.scenario, &b.scenario));
     }
@@ -509,10 +472,10 @@ mod tests {
     #[test]
     fn detected_memo_ignores_foreign_scenarios() {
         let cache = ScenarioCache::new();
-        let short = cache.get_with_duration(6, 7, Some(300.0));
+        let short = bus_city(&cache, 6, 7, Some(300.0));
         let cached_map = cache.detected_communities(&short);
 
-        let mut foreign = BuiltScenario::from_trace(tiny_trace(), 7);
+        let mut foreign = replayed(7);
         // Forge the cached entry's key: identity is still checked by pointer.
         foreign.key = short.key.clone();
         let foreign_map = cache.detected_communities(&foreign);
@@ -529,14 +492,20 @@ mod tests {
 
     #[test]
     fn scaled_scenario_is_shorter() {
-        let s = BuiltScenario::build_scaled(8, 1, 500.0);
+        let s = BuiltScenario::from_specs(
+            &ScenarioSpec::paper(8),
+            &WorkloadSpec::PaperUniform,
+            1,
+            Some(500.0),
+        )
+        .unwrap();
         assert_eq!(s.scenario.trace.duration, 500.0);
         assert!(s.workload.iter().all(|m| m.create_at.as_secs() < 500.0));
     }
 
     #[test]
     fn from_trace_round_trips_node_count() {
-        let ps = BuiltScenario::from_trace(tiny_trace(), 7);
+        let ps = replayed(7);
         assert_eq!(ps.n_nodes, 6);
         assert_eq!(ps.scenario.communities.len(), 6);
         assert!(ps.workload.iter().all(|m| m.create_at.as_secs() < 300.0));

@@ -3,7 +3,10 @@
 //! `(spec, seed)` instead of racing them, so `threads = 1` and `threads = 8`
 //! must produce bit-identical [`MetricPoint`]s for the same matrix.
 
-use dtn_bench::{run_matrix, ProtocolKind, ProtocolSpec, RunSpec, SweepConfig};
+use dtn_bench::{
+    run_matrix_records_stored, ProtocolKind, ProtocolSpec, ReportSpec, RunSpec, ScenarioCache,
+    SweepConfig,
+};
 use dtn_sim::MetricPoint;
 
 /// A small but non-trivial matrix: four protocol families (including CR,
@@ -28,14 +31,20 @@ fn matrix() -> Vec<RunSpec> {
 }
 
 fn run_with_threads(threads: usize) -> Vec<MetricPoint> {
-    run_matrix(
-        &matrix(),
-        SweepConfig {
-            seeds: 2,
-            threads,
-            verbose: false,
-        },
-    )
+    ReportSpec {
+        title: String::new(),
+        records: run_matrix_records_stored(
+            &ScenarioCache::new(),
+            &matrix(),
+            SweepConfig {
+                seeds: 2,
+                threads,
+                verbose: false,
+            },
+            None,
+        ),
+    }
+    .points(2)
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The sweep-fabric determinism contract, property-tested:
 //!
-//! 1. **Stealing is invisible.** `run_matrix_records` over the
+//! 1. **Stealing is invisible.** `run_matrix_records_stored` over the
 //!    work-stealing fabric at 2/4/8 workers returns the *same record list*
 //!    — same order, every field bitwise except `wall_s` — as a sequential
 //!    1-thread fold of the same matrix.
@@ -15,7 +15,7 @@
 //! (scenario family × protocol × workload × probe set), crossed with seed
 //! counts, thread counts and ring capacities.
 
-use dtn_bench::{run_matrix_records, RunRecord, RunSpec, ScenarioCache, SweepConfig};
+use dtn_bench::{run_matrix_records_stored, RunRecord, RunSpec, ScenarioCache, SweepConfig};
 use dtn_testutil::arb_spec_matrix;
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ fn assert_records_identical(reference: &[RunRecord], got: &[RunRecord], ctx: &st
 }
 
 fn sweep(specs: &[RunSpec], seeds: u32, threads: usize) -> Vec<RunRecord> {
-    run_matrix_records(
+    run_matrix_records_stored(
         &ScenarioCache::new(),
         specs,
         SweepConfig {
@@ -63,6 +63,7 @@ fn sweep(specs: &[RunSpec], seeds: u32, threads: usize) -> Vec<RunRecord> {
             threads,
             verbose: false,
         },
+        None,
     )
 }
 

@@ -6,8 +6,8 @@
 
 use ce_core::{BufferPolicy, EmdMode};
 use dtn_bench::{
-    run_matrix_with, ProtocolKind, ProtocolParams, ProtocolSpec, RunSpec, ScenarioCache,
-    SweepConfig,
+    run_matrix_records_stored, ProtocolKind, ProtocolParams, ProtocolSpec, ReportSpec, RunSpec,
+    ScenarioCache, SweepConfig,
 };
 use dtn_testutil::arb_protocol_spec;
 use proptest::prelude::*;
@@ -113,15 +113,20 @@ fn lambda_variants_key_distinctly_and_stay_thread_invariant() {
 
     let specs = vec![lo, hi];
     let run = |threads: usize, cache: &ScenarioCache| {
-        run_matrix_with(
-            cache,
-            &specs,
-            SweepConfig {
-                seeds: 2,
-                threads,
-                verbose: false,
-            },
-        )
+        ReportSpec {
+            title: String::new(),
+            records: run_matrix_records_stored(
+                cache,
+                &specs,
+                SweepConfig {
+                    seeds: 2,
+                    threads,
+                    verbose: false,
+                },
+                None,
+            ),
+        }
+        .points(2)
     };
     let cache = ScenarioCache::new();
     let single = run(1, &cache);
@@ -148,8 +153,8 @@ fn ttl_override_shapes_the_run() {
     let base = RunSpec::new("eer", 8, ProtocolSpec::parse("eer").unwrap()).with_duration(1_500.0);
     let short = RunSpec::new("eer:ttl=90", 8, ProtocolSpec::parse("eer:ttl=90").unwrap())
         .with_duration(1_500.0);
-    let a = dtn_bench::run_spec(&cache, &base, 1);
-    let b = dtn_bench::run_spec(&cache, &short, 1);
+    let a = dtn_bench::run_spec_observed(&cache, &base, 1).1.stats;
+    let b = dtn_bench::run_spec_observed(&cache, &short, 1).1.stats;
     assert_eq!(cache.len(), 1, "same scenario serves both TTL variants");
     assert!(
         b.delivered <= a.delivered,

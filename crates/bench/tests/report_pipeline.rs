@@ -8,8 +8,8 @@
 
 use dtn_bench::report::{glossary_markdown, validate_document, METRICS};
 use dtn_bench::{
-    run_matrix_records, ProbeSpec, ProtocolSpec, ReportSpec, RunRecord, RunSpec, ScenarioCache,
-    SweepConfig,
+    run_matrix_records_stored, ProbeSpec, ProtocolSpec, ReportSpec, RunRecord, RunSpec,
+    ScenarioCache, SweepConfig,
 };
 use dtn_sim::{LatencyHistogram, StatsSnapshot, TimeSeries, TsSample};
 use std::path::Path;
@@ -25,7 +25,7 @@ fn real_report() -> ReportSpec {
         verbose: false,
     };
     let mut report = ReportSpec::new("pipeline test");
-    report.records = run_matrix_records(&ScenarioCache::new(), &specs, cfg);
+    report.records = run_matrix_records_stored(&ScenarioCache::new(), &specs, cfg, None);
     report
 }
 
@@ -203,7 +203,7 @@ fn probed_json_round_trips_and_validates() {
             .with_probe(ProbeSpec::LatencyHist),
     ];
     let mut real = ReportSpec::new("probed pipeline test");
-    real.records = run_matrix_records(
+    real.records = run_matrix_records_stored(
         &ScenarioCache::new(),
         &specs,
         SweepConfig {
@@ -211,6 +211,7 @@ fn probed_json_round_trips_and_validates() {
             threads: 2,
             verbose: false,
         },
+        None,
     );
     assert!(real.records.iter().all(|r| r.timeseries.is_some()));
     assert!(real.records.iter().all(|r| r.latency.is_some()));

@@ -5,7 +5,7 @@
 //! collision the old `(n_nodes, seed, duration)` key allowed).
 
 use dtn_bench::{
-    run_matrix_records, run_matrix_with, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec,
+    run_matrix_records_stored, ProbeSpec, ProtocolKind, ProtocolSpec, ReportSpec, RunSpec,
     ScenarioCache, ScenarioSpec, SweepConfig, WorkloadSpec,
 };
 use dtn_sim::MetricPoint;
@@ -14,15 +14,20 @@ use std::sync::Arc;
 
 fn run_with_threads(threads: usize) -> (Vec<MetricPoint>, usize) {
     let cache = ScenarioCache::new();
-    let points = run_matrix_with(
-        &cache,
-        &family_matrix(),
-        SweepConfig {
-            seeds: 2,
-            threads,
-            verbose: false,
-        },
-    );
+    let points = ReportSpec {
+        title: String::new(),
+        records: run_matrix_records_stored(
+            &cache,
+            &family_matrix(),
+            SweepConfig {
+                seeds: 2,
+                threads,
+                verbose: false,
+            },
+            None,
+        ),
+    }
+    .points(2);
     (points, cache.len())
 }
 
@@ -112,7 +117,7 @@ fn timeseries_probe_is_thread_invariant_across_families() {
                 ])
             })
             .collect();
-        run_matrix_records(
+        run_matrix_records_stored(
             &ScenarioCache::new(),
             &specs,
             SweepConfig {
@@ -120,6 +125,7 @@ fn timeseries_probe_is_thread_invariant_across_families() {
                 threads,
                 verbose: false,
             },
+            None,
         )
     };
     let single = probed(1);
@@ -159,7 +165,7 @@ fn timeseries_probe_is_thread_invariant_across_families() {
 
     // And the probes are invisible to the stats: the plain matrix over the
     // same specs produces identical snapshots.
-    let plain = run_matrix_records(
+    let plain = run_matrix_records_stored(
         &ScenarioCache::new(),
         &family_matrix(),
         SweepConfig {
@@ -167,6 +173,7 @@ fn timeseries_probe_is_thread_invariant_across_families() {
             threads: 4,
             verbose: false,
         },
+        None,
     );
     for (i, (p, o)) in plain.iter().zip(&single).enumerate() {
         assert_eq!(
@@ -241,7 +248,7 @@ fn rwp_runs_end_to_end() {
         ProtocolSpec::paper(ProtocolKind::Eer),
     )
     .with_duration(1_500.0);
-    let stats = dtn_bench::run_spec(&cache, &spec, 1);
+    let stats = dtn_bench::run_spec_observed(&cache, &spec, 1).1.stats;
     assert!(stats.created > 0, "workload generated no messages");
     assert!(
         stats.relayed > 0 || stats.delivered > 0,

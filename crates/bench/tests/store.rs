@@ -11,11 +11,15 @@
 //! 2. **Corruption is a miss, never a serve.** A truncated or bit-flipped
 //!    entry fails admission, the cell is recomputed (bitwise equal to the
 //!    cold run) and the republished entry heals the store.
+//! 3. **Recording cells bypass the store.** A cell whose probes record an
+//!    event log is never served or published, through either entry point:
+//!    its artifact is rewritten on every run.
 //!
 //! Matrices are drawn from the canonical `dtn_testutil` generators.
 
 use dtn_bench::{
-    run_matrix_records_stored, CellStore, RunRecord, RunSpec, ScenarioCache, SweepConfig,
+    run_cell, run_matrix_records_stored, CellStore, ProbeSpec, RunRecord, RunSpec, ScenarioCache,
+    SweepConfig,
 };
 use dtn_testutil::arb_spec_matrix;
 use proptest::prelude::*;
@@ -194,6 +198,64 @@ fn corrupt_entries_are_recomputed_never_served() {
     let healed = sweep(&specs, 2, 1, Some(&store));
     assert_records_identical(&cold, &healed, "healed store");
     assert!(healed.iter().all(|r| r.cached));
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Event-log cells are never served from nor published to the store, by
+/// `run_cell` or by the matrix runner: the store stays empty of them, every
+/// run recomputes and rewrites the artifact — even when a valid entry for
+/// the very same cell key sits in the store.
+#[test]
+fn eventlog_cells_bypass_the_store() {
+    let root = tmp_store("eventlog_bypass");
+    let store = CellStore::open(&root).expect("fresh store");
+    let artifact = root.join("artifacts").join("cell.trace");
+    let spec = dtn_testutil::run_spec_cell(0, 8, 300.0, 0, 0, 1).with_probe(ProbeSpec::EventLog {
+        path: artifact.display().to_string(),
+    });
+    let cache = ScenarioCache::new();
+
+    let (first, out) = run_cell(&cache, &spec, 1, Some(&store)).expect("cell runs");
+    assert!(
+        out.is_some() && !first.cached,
+        "a recording cell is computed"
+    );
+    assert!(artifact.exists(), "the run records its artifact");
+    assert_eq!(store.stats().entries, 0, "run_cell must not publish it");
+
+    let cold = sweep(std::slice::from_ref(&spec), 1, 1, Some(&store));
+    assert_eq!(store.stats().entries, 0, "the matrix must not publish it");
+    assert_records_identical(std::slice::from_ref(&first), &cold, "matrix vs run_cell");
+
+    // Plant a valid entry under the recording cell's key: neither path may
+    // serve it, and both must rewrite the artifact.
+    store.publish(&first).expect("manual publish");
+    assert!(
+        store.serve(&first.cell, 1).is_some(),
+        "the planted entry is servable"
+    );
+    for (path, rerun) in [
+        (
+            "run_cell",
+            Box::new(|| run_cell(&cache, &spec, 1, Some(&store)).unwrap().0)
+                as Box<dyn Fn() -> RunRecord>,
+        ),
+        (
+            "matrix",
+            Box::new(|| sweep(std::slice::from_ref(&spec), 1, 1, Some(&store)).remove(0)),
+        ),
+    ] {
+        std::fs::remove_file(&artifact).expect("artifact present");
+        let record = rerun();
+        assert!(
+            !record.cached,
+            "{path}: a recording cell must never be served"
+        );
+        assert!(artifact.exists(), "{path}: the artifact must be rewritten");
+        assert_records_identical(std::slice::from_ref(&first), &[record], path);
+    }
+    assert_eq!(store.stats().entries, 1, "only the planted entry exists");
 
     let _ = std::fs::remove_dir_all(&root);
 }
