@@ -1,8 +1,9 @@
 //! Scaled-down figure regeneration as Criterion benches, so
 //! `cargo bench --workspace` exercises the full experiment pipeline for
 //! every figure of the paper (fig. 2: protocol comparison; figs. 3–4:
-//! λ sweeps). The full-scale series are produced by the `fig2`/`fig3`/`fig4`
-//! binaries; these benches use a 1 500 s horizon at N = 40 to stay fast.
+//! λ sweeps). The full-scale series are produced by the `fig2` binary and
+//! the `ablation fig3` / `ablation fig4` presets; these benches use a
+//! 1 500 s horizon at N = 40 to stay fast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtn_bench::{BuiltScenario, ProtocolKind, ProtocolSpec, ScenarioSpec, WorkloadSpec};

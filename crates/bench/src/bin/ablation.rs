@@ -1,17 +1,23 @@
-//! Ablation studies for the design choices DESIGN.md calls out — every named
-//! ablation is *data*: a grid of `(label, protocol-spec)` pairs in the same
-//! `--protocol` grammar the binaries accept, swept through the shared
-//! runner. There are no per-ablation protocol branches; adding an ablation
-//! is adding rows to [`ABLATIONS`].
+//! Ablation studies for the design choices DESIGN.md calls out, and the
+//! paper's one-parameter figures — every named grid is *data*: a grid of
+//! `(label, protocol-spec)` pairs in the same `--protocol` grammar the
+//! binaries accept, with its own default node counts, swept through the
+//! shared runner. There are no per-ablation protocol branches; adding an
+//! ablation (or a figure preset) is adding a row to [`ABLATIONS`].
 //!
 //! ```text
-//! cargo run -p dtn-bench --release --bin ablation -- <which> [--seeds K] [--nodes a,b,c] \
-//!     [--scenario paper|rwp|trace:<path>] [--workload paper|hotspot|bursty] \
-//!     [--duration SECS]
+//! cargo run -p bench --release --bin ablation -- <which> [--full|--quick] \
+//!     [--seeds K] [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
+//!     [--workload paper|hotspot|bursty] [--duration SECS] [--print-settings]
 //! ```
 //!
 //! `<which>` ∈:
 //!
+//! * `fig3`      — the paper's Figure 3: EER at λ ∈ {6, 8, 10, 12} over
+//!   N ∈ {40, …, 240};
+//! * `fig4`      — Figure 4: the same λ sweep for CR;
+//! * `all-protocols` — every protocol family at paper defaults on one
+//!   node count (n = 40): the quickest sanity pass over the whole stack;
 //! * `alpha`     — EER sensitivity to the horizon parameter α;
 //! * `ttl-aware` — TTL-conditioned EEV (EER) vs. rate EV (EBR), the paper's
 //!   §I motivating comparison;
@@ -30,26 +36,76 @@
 //! * `grid <spec>...` — an ad-hoc ablation: any protocol specs given on the
 //!   command line run side-by-side as series, e.g.
 //!   `ablation grid eer:lambda=4 eer:lambda=16 prophet:beta=0.25`.
+//!
+//! The ablations run N ∈ {80, 160} unless `--nodes` says otherwise.
 
-use dtn_bench::report::CommonArgs;
+use dtn_bench::report::{settings_table, CommonArgs};
 use dtn_bench::{
     run_matrix_records_stored, ProtocolKind, ProtocolSpec, ReportSpec, RunSpec, ScenarioCache,
 };
 
-/// One named, data-driven ablation: a title and a grid of
-/// `(series label, protocol spec)` pairs in the CLI grammar.
+/// One named, data-driven ablation: a report title, its default node
+/// counts and a grid of `(series label, protocol spec)` pairs in the CLI
+/// grammar.
 struct Ablation {
     name: &'static str,
     title: &'static str,
+    nodes: &'static [u32],
     grid: &'static [(&'static str, &'static str)],
 }
+
+/// The paper's node counts (Figs. 2–4).
+const PAPER_NODES: &[u32] = &[40, 80, 120, 160, 200, 240];
+
+/// The ablations' two mid-sized points.
+const ABLATION_NODES: &[u32] = &[80, 160];
 
 /// Every named ablation as a `ProtocolSpec` grid. The spec strings are the
 /// single source of truth; `ablation_grids_parse` (tests) guards them.
 const ABLATIONS: &[Ablation] = &[
     Ablation {
+        name: "fig3",
+        title: "Figure 3: effects of lambda on EER",
+        nodes: PAPER_NODES,
+        grid: &[
+            ("Lambda = 6", "eer:lambda=6"),
+            ("Lambda = 8", "eer:lambda=8"),
+            ("Lambda = 10", "eer:lambda=10"),
+            ("Lambda = 12", "eer:lambda=12"),
+        ],
+    },
+    Ablation {
+        name: "fig4",
+        title: "Figure 4: effects of lambda on CR",
+        nodes: PAPER_NODES,
+        grid: &[
+            ("Lambda = 6", "cr:lambda=6"),
+            ("Lambda = 8", "cr:lambda=8"),
+            ("Lambda = 10", "cr:lambda=10"),
+            ("Lambda = 12", "cr:lambda=12"),
+        ],
+    },
+    Ablation {
+        name: "all-protocols",
+        title: "Every protocol at paper defaults",
+        nodes: &[40],
+        grid: &[
+            ("EER", "eer"),
+            ("CR", "cr"),
+            ("EBR", "ebr"),
+            ("MaxProp", "maxprop"),
+            ("SprayAndWait", "spraywait"),
+            ("SprayAndFocus", "sprayfocus"),
+            ("Epidemic", "epidemic"),
+            ("PRoPHET", "prophet"),
+            ("Direct", "direct"),
+            ("FirstContact", "firstcontact"),
+        ],
+    },
+    Ablation {
         name: "alpha",
-        title: "EER sensitivity to alpha",
+        title: "Ablation: EER sensitivity to alpha",
+        nodes: ABLATION_NODES,
         grid: &[
             ("alpha = 0.1", "eer:alpha=0.1"),
             ("alpha = 0.28", "eer:alpha=0.28"),
@@ -60,12 +116,14 @@ const ABLATIONS: &[Ablation] = &[
     },
     Ablation {
         name: "ttl-aware",
-        title: "TTL-aware expected EV (EER) vs rate EV (EBR)",
+        title: "Ablation: TTL-aware expected EV (EER) vs rate EV (EBR)",
+        nodes: ABLATION_NODES,
         grid: &[("EER (EEV(t, a*TTL))", "eer"), ("EBR (rate EV)", "ebr")],
     },
     Ablation {
         name: "emd",
-        title: "Theorem-2 EMD vs mean intervals; forwarding hysteresis",
+        title: "Ablation: Theorem-2 EMD vs mean intervals; forwarding hysteresis",
+        nodes: ABLATION_NODES,
         grid: &[
             ("T2 + hysteresis (default)", "eer"),
             ("T2, no hysteresis (paper-literal)", "eer:hysteresis=0"),
@@ -74,7 +132,8 @@ const ABLATIONS: &[Ablation] = &[
     },
     Ablation {
         name: "window",
-        title: "history sliding-window length",
+        title: "Ablation: history sliding-window length",
+        nodes: ABLATION_NODES,
         grid: &[
             ("window = 4", "eer:window=4"),
             ("window = 8", "eer:window=8"),
@@ -85,13 +144,15 @@ const ABLATIONS: &[Ablation] = &[
     },
     Ablation {
         name: "cr-state",
-        title: "routing-state gossip overhead: EER (full MI) vs CR (intra-community MI)",
+        title: "Ablation: routing-state gossip overhead: EER (full MI) vs CR (intra-community MI)",
+        nodes: ABLATION_NODES,
         grid: &[("EER", "eer"), ("CR", "cr")],
     },
     Ablation {
         name: "buffer-policy",
-        title: "buffer management under pressure (256 KB buffers): drop-oldest vs \
+        title: "Ablation: buffer management under pressure (256 KB buffers): drop-oldest vs \
                 least-remaining-value (future-work extension)",
+        nodes: ABLATION_NODES,
         grid: &[
             ("EER drop-oldest", "eer:buffer=262144"),
             ("EER least-remaining-value", "eer:policy=lrv,buffer=262144"),
@@ -100,7 +161,8 @@ const ABLATIONS: &[Ablation] = &[
     },
     Ablation {
         name: "adaptive-lambda",
-        title: "fixed quota vs EEV-adaptive quota (future-work extension)",
+        title: "Ablation: fixed quota vs EEV-adaptive quota (future-work extension)",
+        nodes: ABLATION_NODES,
         grid: &[
             ("EER lambda = 10 (fixed)", "eer"),
             ("EER lambda = EEV clamp [4, 16]", "eer:adaptive=4..16"),
@@ -108,7 +170,8 @@ const ABLATIONS: &[Ablation] = &[
     },
     Ablation {
         name: "lambda-one",
-        title: "quota protocols at lambda = 1 (single copy)",
+        title: "Ablation: quota protocols at lambda = 1 (single copy)",
+        nodes: ABLATION_NODES,
         grid: &[
             ("EER", "eer:lambda=1"),
             ("CR", "cr:lambda=1"),
@@ -118,33 +181,34 @@ const ABLATIONS: &[Ablation] = &[
     },
 ];
 
-const USAGE: &str = "usage: ablation <alpha|ttl-aware|emd|window|cr-state|lambda-one|\
-                     buffer-policy|adaptive-lambda|detected-communities|grid <spec>...> \
-                     [--seeds K] [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
-                     [--workload paper|hotspot|bursty] [--duration SECS] \
-                     [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
-                     [--store DIR|--no-store] \
-                     [--out json:PATH|csv:PATH|md:PATH ...]";
+/// The usage line, naming every row of [`ABLATIONS`].
+fn usage() -> String {
+    let names: Vec<&str> = ABLATIONS.iter().map(|a| a.name).collect();
+    format!(
+        "usage: ablation <{}|detected-communities|grid <spec>...> \
+         [--full|--quick] [--seeds K] [--nodes a,b,c] \
+         [--scenario paper|rwp|trace:<path>] [--workload paper|hotspot|bursty] \
+         [--duration SECS] [--probe SPEC ...] [--threads N] [--run-threads N] \
+         [--drain inline|ring[:CAP]] [--store DIR|--no-store] \
+         [--out json:PATH|csv:PATH|md:PATH ...] [--print-settings]",
+        names.join("|")
+    )
+}
+
+fn die(e: impl std::fmt::Display) -> ! {
+    eprintln!("{e}");
+    std::process::exit(2);
+}
 
 /// CR with ground-truth districts vs. CR with communities learned online by
 /// the distributed SIMPLE detector (the paper's future-work item 2). Both
 /// variants run through the shared runner as a plain sweep matrix — only the
 /// `CommunitySource` differs, so this stays a bespoke mode rather than a
 /// protocol-spec grid.
-fn detected_communities(argv: Vec<String>) {
+fn detected_communities(args: &CommonArgs) {
     use ce_core::{pairwise_agreement, CommunityMap};
     use dtn_bench::CommunitySource;
 
-    let mut args = match CommonArgs::parse(argv.into_iter()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    if args.node_counts == vec![40, 80, 120, 160, 200, 240] {
-        args.node_counts = vec![80, 160];
-    }
     let variants = [
         ("ground truth", CommunitySource::GroundTruth),
         ("detected", CommunitySource::Detected),
@@ -219,64 +283,60 @@ fn detected_communities(argv: Vec<String>) {
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        die(usage());
     }
     let which = argv.remove(0);
-    if which == "detected-communities" {
-        return detected_communities(argv);
-    }
+    let preset = ABLATIONS.iter().find(|a| a.name == which);
 
-    // Resolve the grid: a named ablation's data, or — for `grid` — the
-    // specs given on the command line (labelled by their canonical form).
-    let (title, grid): (String, Vec<(String, ProtocolSpec)>) = if which == "grid" {
-        let mut pairs = Vec::new();
-        while let Some(first) = argv.first() {
-            if first.starts_with("--") {
-                break;
-            }
-            let raw = argv.remove(0);
-            match ProtocolSpec::parse(&raw) {
-                Ok(spec) => pairs.push((format!("{spec}"), spec)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
+    // Resolve the grid: a named row's data, or — for `grid` — the specs
+    // given on the command line (labelled by their canonical form).
+    // `detected-communities` is the one mode without a grid.
+    let grid: Option<(String, Vec<(String, ProtocolSpec)>)> = match (preset, which.as_str()) {
+        (Some(a), _) => {
+            let pairs = a
+                .grid
+                .iter()
+                .map(|(label, spec)| {
+                    let spec = ProtocolSpec::parse(spec)
+                        .unwrap_or_else(|e| panic!("invalid builtin grid entry `{spec}`: {e}"));
+                    (label.to_string(), spec)
+                })
+                .collect();
+            Some((a.title.to_string(), pairs))
         }
-        if pairs.len() < 2 {
-            eprintln!("ablation grid needs at least two protocol specs to compare");
-            std::process::exit(2);
+        (None, "grid") => {
+            let given = argv
+                .iter()
+                .position(|a| a.starts_with("--"))
+                .unwrap_or(argv.len());
+            let pairs: Vec<_> = argv
+                .drain(..given)
+                .map(|raw| match ProtocolSpec::parse(&raw) {
+                    Ok(spec) => (format!("{spec}"), spec),
+                    Err(e) => die(e),
+                })
+                .collect();
+            if pairs.len() < 2 {
+                die("ablation grid needs at least two protocol specs to compare");
+            }
+            Some(("Ablation: ad-hoc protocol grid".to_string(), pairs))
         }
-        ("ad-hoc protocol grid".to_string(), pairs)
-    } else {
-        let Some(a) = ABLATIONS.iter().find(|a| a.name == which) else {
-            eprintln!("unknown ablation {which}\n{USAGE}");
-            std::process::exit(2);
-        };
-        let pairs = a
-            .grid
-            .iter()
-            .map(|(label, spec)| {
-                let spec = ProtocolSpec::parse(spec)
-                    .unwrap_or_else(|e| panic!("invalid builtin grid entry `{spec}`: {e}"));
-                (label.to_string(), spec)
-            })
-            .collect();
-        (a.title.to_string(), pairs)
+        (None, "detected-communities") => None,
+        (None, _) => die(format!("unknown ablation {which}\n{}", usage())),
     };
 
-    let mut args = match CommonArgs::parse(argv.into_iter()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    let defaults = CommonArgs {
+        node_counts: preset.map_or(ABLATION_NODES, |a| a.nodes).to_vec(),
+        ..CommonArgs::default()
     };
-    // Ablations default to a single mid-sized point unless overridden.
-    if args.node_counts == vec![40, 80, 120, 160, 200, 240] {
-        args.node_counts = vec![80, 160];
+    let args = CommonArgs::parse(defaults, argv.into_iter()).unwrap_or_else(|e| die(e));
+    if args.print_settings {
+        println!("{}", settings_table());
+        return;
     }
+    let Some((title, grid)) = grid else {
+        return detected_communities(&args);
+    };
 
     let mut specs = Vec::new();
     for (label, proto) in &grid {
@@ -296,7 +356,7 @@ fn main() {
         args.seeds
     );
     let store = args.open_store();
-    let mut report = ReportSpec::new(format!("Ablation: {title}"));
+    let mut report = ReportSpec::new(title);
     report.records = run_matrix_records_stored(&ScenarioCache::new(), &specs, cfg, store.as_ref());
 
     print!("{}", report.render_table());
@@ -359,5 +419,33 @@ mod tests {
                 ref other => panic!("unexpected family: {other:?}"),
             }
         }
+        // fig3/fig4 are the paper's λ ∈ {6, 8, 10, 12} sweeps of EER/CR over
+        // the paper's node counts, one "Lambda = l" series per quota.
+        for (name, kind) in [("fig3", ProtocolKind::Eer), ("fig4", ProtocolKind::Cr)] {
+            let a = find(name);
+            assert_eq!(a.nodes, [40, 80, 120, 160, 200, 240]);
+            let lambdas = [6, 8, 10, 12];
+            assert_eq!(a.grid.len(), lambdas.len());
+            for ((label, spec), l) in a.grid.iter().zip(lambdas) {
+                assert_eq!(*label, format!("Lambda = {l}"));
+                assert_eq!(
+                    ProtocolSpec::parse(spec).unwrap(),
+                    ProtocolSpec::paper(kind).with_lambda(l)
+                );
+            }
+        }
+        // all-protocols runs every family at paper defaults, in ProtocolKind::ALL
+        // order, labelled by its display name.
+        let all = find("all-protocols");
+        assert_eq!(all.grid.len(), ProtocolKind::ALL.len());
+        for ((label, spec), kind) in all.grid.iter().zip(ProtocolKind::ALL) {
+            assert_eq!(*label, kind.name());
+            assert_eq!(
+                ProtocolSpec::parse(spec).unwrap(),
+                ProtocolSpec::paper(kind)
+            );
+        }
+        // The ablations proper keep their two mid-sized points.
+        assert_eq!(find("alpha").nodes, [80, 160]);
     }
 }

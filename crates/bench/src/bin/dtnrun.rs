@@ -13,11 +13,8 @@
 //! materialized compute, publish), and the run header prints the *resolved*
 //! protocol spec so every log line is a reproducible command.
 
-use dtn_bench::report::{CommonArgs, OutputSpec, ReportSpec, RunRecord};
-use dtn_bench::{
-    replay_artifact, resolve_store, run_cell, ProbeSpec, ProtocolSpec, RunSpec, ScenarioCache,
-    ScenarioSpec, WorkloadSpec,
-};
+use dtn_bench::report::{CommonArgs, ReportSpec, RunRecord};
+use dtn_bench::{replay_artifact, run_cell, ProtocolSpec, RunSpec, ScenarioCache};
 use dtn_sim::report::{delivery_progress, latencies, percentile};
 
 const USAGE: &str = "usage: dtnrun [flags]
@@ -45,7 +42,7 @@ const USAGE: &str = "usage: dtnrun [flags]
                        fold probes on a companion thread through a bounded
                        ring of CAP batches (default 16); results are
                        bit-identical either way
-  --progress-step SECS delivery-progress bucket (default 1000)
+  --progress-step SECS delivery-progress bucket (default 1000; > 0)
   --probe SPEC         attach an observer to the run (repeatable):
                          timeseries[:dt=SECS]  delivery/overhead/occupancy
                                                curves sampled in-run
@@ -66,6 +63,9 @@ const USAGE: &str = "usage: dtnrun [flags]
                        (json:|csv:|md:, repeatable)
   --help, -h           print this help
 
+The sweep-only flags --seeds, --threads, --full, --quick and
+--print-settings are refused: dtnrun runs one cell.
+
 examples:
   dtnrun --protocol eer:lambda=8 --scenario rwp --nodes 40
   dtnrun --protocol cr --workload hotspot --duration 2000
@@ -74,90 +74,82 @@ examples:
   dtnrun --protocol eer --record results/run.trace --out json:results/live.json
   dtnrun --replay results/run.trace --probe latency --out json:results/replay.json";
 
+/// dtnrun's own flags; the shared ones (scenario, workload, nodes,
+/// duration, probes, outputs, execution knobs, store) live in [`CommonArgs`].
 struct Args {
+    common: CommonArgs,
     protocol: ProtocolSpec,
-    scenario: Option<String>,
-    workload: WorkloadSpec,
-    nodes: u32,
     seed: u64,
-    /// `None` = the scenario's default horizon; invalid with trace replay.
-    duration: Option<f64>,
     lambda: Option<u32>,
     alpha: Option<f64>,
     buffer: Option<u64>,
-    /// `None` = auto (parallel scan at n >= 10^4 on the streaming path).
-    run_threads: Option<u32>,
-    /// `Some(capacity)` = off-thread observer drain through a bounded ring.
-    ring_drain: Option<usize>,
     progress_step: f64,
-    probes: Vec<ProbeSpec>,
-    outs: Vec<OutputSpec>,
     /// Replay a recorded TRACE/1.0 artifact instead of running the engine.
     replay: Option<String>,
-    /// Result-store root override; `None` = the default root.
-    store: Option<String>,
-    /// Disable the result store entirely.
-    no_store: bool,
 }
 
 /// `Ok(None)` means `--help` was requested.
-fn parse_args() -> Result<Option<Args>, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut out = Args {
+        common: CommonArgs {
+            node_counts: vec![40],
+            ..CommonArgs::default()
+        },
         protocol: ProtocolSpec::parse("eer").expect("default spec"),
-        scenario: None,
-        workload: WorkloadSpec::PaperUniform,
-        nodes: 40,
         seed: 1,
-        duration: None,
         lambda: None,
         alpha: None,
         buffer: None,
-        run_threads: None,
-        ring_drain: None,
         progress_step: 1_000.0,
-        probes: Vec::new(),
-        outs: Vec::new(),
         replay: None,
-        store: None,
-        no_store: false,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match a.as_str() {
             "--protocol" => out.protocol = ProtocolSpec::parse(&val("--protocol")?)?,
-            "--scenario" => out.scenario = Some(val("--scenario")?),
-            "--workload" => out.workload = WorkloadSpec::parse(&val("--workload")?)?,
-            "--nodes" => out.nodes = val("--nodes")?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => out.seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--duration" => {
-                out.duration = Some(val("--duration")?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--lambda" => out.lambda = Some(val("--lambda")?.parse().map_err(|e| format!("{e}"))?),
             "--alpha" => out.alpha = Some(val("--alpha")?.parse().map_err(|e| format!("{e}"))?),
-            "--trace" => out.scenario = Some(format!("trace:{}", val("--trace")?)),
             "--buffer" => out.buffer = Some(val("--buffer")?.parse().map_err(|e| format!("{e}"))?),
-            "--run-threads" => {
-                out.run_threads = Some(val("--run-threads")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--drain" => out.ring_drain = CommonArgs::parse_drain(&val("--drain")?)?,
             "--progress-step" => {
-                out.progress_step = val("--progress-step")?
+                let step: f64 = val("--progress-step")?
                     .parse()
-                    .map_err(|e| format!("{e}"))?
+                    .map_err(|e| format!("--progress-step: {e}"))?;
+                if !(step.is_finite() && step > 0.0) {
+                    return Err(format!(
+                        "--progress-step: need a positive bucket, got {step}"
+                    ));
+                }
+                out.progress_step = step;
             }
-            "--probe" => out.probes.push(ProbeSpec::parse(&val("--probe")?)?),
-            "--record" => out.probes.push(ProbeSpec::parse(&format!(
-                "eventlog:path={}",
-                val("--record")?
-            ))?),
+            // Sugar over the shared flags, so their values are checked there.
+            "--trace" => {
+                let scenario = format!("trace:{}", val("--trace")?);
+                out.common
+                    .parse_flag("--scenario", &mut std::iter::once(scenario))?;
+            }
+            "--record" => {
+                let probe = format!("eventlog:path={}", val("--record")?);
+                out.common
+                    .parse_flag("--probe", &mut std::iter::once(probe))?;
+            }
             "--replay" => out.replay = Some(val("--replay")?),
-            "--store" => out.store = Some(val("--store")?),
-            "--no-store" => out.no_store = true,
-            "--out" => out.outs.push(OutputSpec::parse(&val("--out")?)?),
             "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other} (try --help)")),
+            "--seeds" | "--threads" | "--full" | "--quick" | "--print-settings" => {
+                return Err(format!(
+                    "dtnrun does not take {a}: it runs one cell (try --help)"
+                ))
+            }
+            _ => {
+                if !out.common.parse_flag(&a, &mut it)? {
+                    return Err(format!("unknown flag {a} (try --help)"));
+                }
+            }
         }
+    }
+    out.common = out.common.finish()?;
+    if out.common.node_counts.len() > 1 {
+        return Err("dtnrun does not take a --nodes list: it runs one cell (try --help)".into());
     }
     // The shorthand flags fold into the spec *through the grammar*, so they
     // get the same parse-time validation as `--protocol` (a zero quota or a
@@ -178,8 +170,68 @@ fn parse_args() -> Result<Option<Args>, String> {
     Ok(Some(out))
 }
 
+/// Prints the sections every record carries — the headline stats, then
+/// whichever probe sections rode along — identically for a live, a
+/// store-served and a replayed run.
+fn print_record(heading: &str, record: &RunRecord) {
+    let stats = &record.stats;
+    println!("\n=== {heading} ===");
+    println!("delivery ratio   {:.4}", stats.delivery_ratio());
+    println!("latency (mean)   {:.1} s", stats.avg_latency());
+    println!("goodput          {:.4}", stats.goodput());
+    println!("overhead ratio   {:.2}", stats.overhead_ratio());
+    println!("relayed          {}", stats.relayed);
+    println!("aborted          {}", stats.aborted);
+    println!(
+        "drops            buffer {} / ttl {} / protocol {}",
+        stats.drops_buffer, stats.drops_ttl, stats.drops_protocol
+    );
+    println!("control traffic  {:.2} MB", stats.control_mb());
+    println!(
+        "wall time        {:.2?}",
+        std::time::Duration::from_secs_f64(record.wall_s)
+    );
+
+    if let Some(ts) = &record.timeseries {
+        println!("\ntime series (probe, dt = {:.0} s):", ts.dt);
+        let stride = ts.samples.len().div_ceil(20).max(1);
+        for s in ts.samples.iter().step_by(stride) {
+            println!(
+                "  t={:>7.0}  dr={:.4} overhead={:>7.2} buffered={:>6} KB ({} msgs)",
+                s.t,
+                s.delivery_ratio(),
+                s.overhead_ratio(),
+                s.buffered_bytes / 1024,
+                s.buffered_msgs
+            );
+        }
+    }
+    if let Some(hist) = &record.latency {
+        println!(
+            "\nlatency histogram (probe): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
+            hist.count, hist.p50, hist.p95, hist.p99, hist.max
+        );
+        for (i, &n) in hist.buckets.iter().enumerate() {
+            if n > 0 {
+                let lo = (1u64 << i) - 1;
+                let hi = (1u64 << (i + 1)) - 1;
+                println!("  [{lo:>5}, {hi:>5}) s  {n}");
+            }
+        }
+    }
+}
+
+/// Emits one record through the shared report pipeline (`--out`).
+fn write_report(title: String, record: RunRecord, args: &Args) {
+    let mut report = ReportSpec::new(title);
+    report.push(record);
+    if !report.write_all(&args.common.outs) {
+        std::process::exit(1);
+    }
+}
+
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(Some(a)) => a,
         Ok(None) => {
             println!("{USAGE}");
@@ -196,39 +248,15 @@ fn main() {
         return;
     }
 
-    let scenario =
-        match ScenarioSpec::parse(args.scenario.as_deref().unwrap_or("paper"), args.nodes) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        };
-    if args.duration.is_some() && scenario.default_duration().is_none() {
-        eprintln!("--duration cannot be combined with trace replay: a replayed trace runs at its recorded horizon");
-        std::process::exit(2);
-    }
-
-    let mut spec = RunSpec::on(
+    let common = &args.common;
+    let scenario = common.scenario_for(common.node_counts[0]);
+    let mut spec = common.configure(RunSpec::on(
         args.protocol.kind().name(),
         scenario.clone(),
         args.protocol.clone(),
-    )
-    .with_workload(args.workload.clone())
-    .with_probes(args.probes.clone());
+    ));
     if let Some(b) = args.buffer {
         spec = spec.with_buffer(b);
-    }
-    if let Some(d) = args.duration {
-        // Record the override in the spec so the report's cell key carries
-        // the true horizon.
-        spec = spec.with_duration(d);
-    }
-    if let Some(t) = args.run_threads {
-        spec = spec.with_run_threads(t);
-    }
-    if let Some(c) = args.ring_drain {
-        spec = spec.with_ring_drain(c);
     }
 
     let streams = spec.streams();
@@ -245,18 +273,33 @@ fn main() {
     };
     println!(
         "protocol {}, scenario {scenario}, workload {}: {supply}",
-        args.protocol, args.workload
+        args.protocol, common.workload
     );
 
     // One cell through the shared path: a run recording an event log is
     // never served from (or published to) the store, since the side-effect
     // artifact is the point of the run.
-    let store = resolve_store(args.store.as_deref(), args.no_store);
+    let store = common.open_store();
     let cache = ScenarioCache::new();
+    let title = format!("dtnrun: {} on {}", args.protocol, spec.scenario);
     let (record, out) = match run_cell(&cache, &spec, args.seed, store.as_ref()) {
         Ok((record, Some(out))) => (record, out),
         Ok((record, None)) => {
-            served_report(&spec, record, &args);
+            // Served from the persistent result store: the record-derived
+            // report only — exact per-message percentiles and the
+            // delivery-progress table need the live engine, as in --replay.
+            println!(
+                "protocol {}, scenario {}, workload {}: {} nodes, {:.0} s, seed {} — served \
+                 from result store (no simulation; --no-store forces a cold run)",
+                args.protocol,
+                spec.scenario,
+                common.workload,
+                record.n_nodes,
+                record.duration,
+                record.seed
+            );
+            print_record(&format!("{} (served from store)", args.protocol), &record);
+            write_report(title, record, &args);
             return;
         }
         Err(e) => {
@@ -265,7 +308,6 @@ fn main() {
         }
     };
     let (n, duration) = (record.n_nodes, record.duration);
-    let wall = std::time::Duration::from_secs_f64(record.wall_s);
     let stats = &out.stats;
     // Both paths generate the workload from the same spec and seed, so the
     // creation times for latency percentiles can be regenerated here without
@@ -279,7 +321,7 @@ fn main() {
     if streams {
         println!("{n} nodes, {duration:.0} s, {} messages", created_at.len());
     } else {
-        let ps = cache.get_spec(&scenario, &args.workload, args.seed, args.duration);
+        let ps = cache.get_spec(&scenario, &common.workload, args.seed, common.duration);
         let ts = ps.scenario.trace.stats();
         println!(
             "{n} nodes, {duration:.0} s, {} contacts (mean duration {:.2} s), {} messages",
@@ -289,29 +331,17 @@ fn main() {
         );
     }
 
-    println!("\n=== {} ===", args.protocol);
-    println!("delivery ratio   {:.4}", stats.delivery_ratio());
-    println!("latency (mean)   {:.1} s", stats.avg_latency());
+    print_record(&args.protocol.to_string(), &record);
+
+    // The live-only sections: exact per-message percentiles and the
+    // delivery-progress table need the engine's per-message stats.
+    println!();
     let lats = latencies(stats, &created_at);
     for p in [50.0, 90.0, 99.0] {
         if let Some(v) = percentile(lats.clone(), p) {
             println!("latency (p{p:.0})    {v:.1} s");
         }
     }
-    println!("goodput          {:.4}", stats.goodput());
-    println!("overhead ratio   {:.2}", stats.overhead_ratio());
-    println!("relayed          {}", stats.relayed);
-    println!("aborted          {}", stats.aborted);
-    println!(
-        "drops            buffer {} / ttl {} / protocol {}",
-        stats.drops_buffer, stats.drops_ttl, stats.drops_protocol
-    );
-    println!(
-        "control traffic  {:.2} MB",
-        stats.control_bytes as f64 / (1024.0 * 1024.0)
-    );
-    println!("wall time        {wall:.2?}");
-
     println!(
         "\ndelivery progress (cumulative, every {:.0} s):",
         args.progress_step
@@ -323,101 +353,9 @@ fn main() {
         }
     }
 
-    // Probe outputs, sampled *during* the run by the observer pipeline.
-    if let Some(ts) = &out.timeseries {
-        println!("\ntime series (probe, dt = {:.0} s):", ts.dt);
-        let stride = ts.samples.len().div_ceil(20).max(1);
-        for s in ts.samples.iter().step_by(stride) {
-            println!(
-                "  t={:>7.0}  dr={:.4} overhead={:>7.2} buffered={:>6} KB ({} msgs)",
-                s.t,
-                s.delivery_ratio(),
-                s.overhead_ratio(),
-                s.buffered_bytes / 1024,
-                s.buffered_msgs
-            );
-        }
-    }
-    if let Some(hist) = &out.latency {
-        println!(
-            "\nlatency histogram (probe): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
-            hist.count, hist.p50, hist.p95, hist.p99, hist.max
-        );
-        for (i, &n) in hist.buckets.iter().enumerate() {
-            if n > 0 {
-                let lo = (1u64 << i) - 1;
-                let hi = (1u64 << (i + 1)) - 1;
-                println!("  [{lo:>5}, {hi:>5}) s  {n}");
-            }
-        }
-    }
-
     // The machine-readable view of the same run: one record through the
     // shared report pipeline, carrying the probe outputs.
-    let mut report = ReportSpec::new(format!("dtnrun: {} on {}", args.protocol, spec.scenario));
-    report.push(record);
-    if !report.write_all(&args.outs) {
-        std::process::exit(1);
-    }
-}
-
-/// The run was served from the persistent result store: print the
-/// record-derived report (stats plus any probe sections that rode along —
-/// exact per-message percentiles and the delivery-progress table need the
-/// live engine, exactly as in `--replay`) and emit through the pipeline.
-fn served_report(spec: &RunSpec, record: RunRecord, args: &Args) {
-    println!(
-        "protocol {}, scenario {}, workload {}: {} nodes, {:.0} s, seed {} — served from result \
-         store in {:.4} s (no simulation; --no-store forces a cold run)",
-        args.protocol,
-        spec.scenario,
-        args.workload,
-        record.n_nodes,
-        record.duration,
-        record.seed,
-        record.wall_s
-    );
-
-    let stats = &record.stats;
-    println!("\n=== {} (served from store) ===", args.protocol);
-    println!("delivery ratio   {:.4}", stats.delivery_ratio());
-    println!("latency (mean)   {:.1} s", stats.avg_latency());
-    println!("goodput          {:.4}", stats.goodput());
-    println!("overhead ratio   {:.2}", stats.overhead_ratio());
-    println!("relayed          {}", stats.relayed);
-    println!("aborted          {}", stats.aborted);
-    println!(
-        "drops            buffer {} / ttl {} / protocol {}",
-        stats.drops_buffer, stats.drops_ttl, stats.drops_protocol
-    );
-    println!("control traffic  {:.2} MB", stats.control_mb());
-
-    if let Some(ts) = &record.timeseries {
-        println!("\ntime series (stored probe, dt = {:.0} s):", ts.dt);
-        let stride = ts.samples.len().div_ceil(20).max(1);
-        for s in ts.samples.iter().step_by(stride) {
-            println!(
-                "  t={:>7.0}  dr={:.4} overhead={:>7.2} buffered={:>6} KB ({} msgs)",
-                s.t,
-                s.delivery_ratio(),
-                s.overhead_ratio(),
-                s.buffered_bytes / 1024,
-                s.buffered_msgs
-            );
-        }
-    }
-    if let Some(hist) = &record.latency {
-        println!(
-            "\nlatency histogram (stored probe): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
-            hist.count, hist.p50, hist.p95, hist.p99, hist.max
-        );
-    }
-
-    let mut report = ReportSpec::new(format!("dtnrun: {} on {}", args.protocol, spec.scenario));
-    report.push(record);
-    if !report.write_all(&args.outs) {
-        std::process::exit(1);
-    }
+    write_report(title, record, &args);
 }
 
 /// `--replay PATH`: fold the report out of a recorded artifact — the engine
@@ -427,7 +365,7 @@ fn served_report(spec: &RunSpec, record: RunRecord, args: &Args) {
 /// `--probe latency` / `--probe timeseries` to get them, bitwise identical
 /// to the recorded live run.
 fn replay_report(path: &str, args: &Args) {
-    let record = match replay_artifact(std::path::Path::new(path), &args.probes) {
+    let record = match replay_artifact(std::path::Path::new(path), &args.common.probes) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -443,45 +381,63 @@ fn replay_report(path: &str, args: &Args) {
         record.duration,
         record.seed
     );
+    print_record(&format!("{} (replayed)", record.protocol), &record);
+    write_report(format!("dtnrun replay: {path}"), record, args);
+}
 
-    let stats = &record.stats;
-    println!("\n=== {} (replayed) ===", record.protocol);
-    println!("delivery ratio   {:.4}", stats.delivery_ratio());
-    println!("latency (mean)   {:.1} s", stats.avg_latency());
-    println!("goodput          {:.4}", stats.goodput());
-    println!("overhead ratio   {:.2}", stats.overhead_ratio());
-    println!("relayed          {}", stats.relayed);
-    println!("aborted          {}", stats.aborted);
-    println!(
-        "drops            buffer {} / ttl {} / protocol {}",
-        stats.drops_buffer, stats.drops_ttl, stats.drops_protocol
-    );
-    println!("control traffic  {:.2} MB", stats.control_mb());
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    if let Some(ts) = &record.timeseries {
-        println!("\ntime series (replayed probe, dt = {:.0} s):", ts.dt);
-        let stride = ts.samples.len().div_ceil(20).max(1);
-        for s in ts.samples.iter().step_by(stride) {
-            println!(
-                "  t={:>7.0}  dr={:.4} overhead={:>7.2} buffered={:>6} KB ({} msgs)",
-                s.t,
-                s.delivery_ratio(),
-                s.overhead_ratio(),
-                s.buffered_bytes / 1024,
-                s.buffered_msgs
-            );
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|s| s.to_string())).map(|a| a.expect("not --help"))
+    }
+
+    fn refusal(args: &[&str]) -> String {
+        match parse(args) {
+            Ok(_) => panic!("{args:?} was accepted"),
+            Err(e) => e,
         }
     }
-    if let Some(hist) = &record.latency {
-        println!(
-            "\nlatency histogram (replayed probe): n={} p50={:.1} p95={:.1} p99={:.1} max={:.1}",
-            hist.count, hist.p50, hist.p95, hist.p99, hist.max
+
+    /// The sweep-only shared flags are refused by name, before anything runs.
+    #[test]
+    fn refuses_sweep_flags() {
+        for args in [
+            &["--seeds", "2"][..],
+            &["--threads", "2"],
+            &["--full"],
+            &["--quick"],
+            &["--print-settings"],
+        ] {
+            assert!(refusal(args).contains(args[0]), "{args:?}");
+        }
+        assert!(refusal(&["--nodes", "40,80"]).contains("--nodes"));
+        assert_eq!(parse(&["--nodes", "80"]).unwrap().common.node_counts, [80]);
+    }
+
+    /// Horizons and progress buckets that are not finite and positive fail
+    /// at parse time, before the run and its report.
+    #[test]
+    fn rejects_bad_horizons_and_buckets() {
+        for bad in ["nan", "-100", "0", "inf"] {
+            refusal(&["--duration", bad]);
+            refusal(&["--progress-step", bad]);
+        }
+        assert_eq!(
+            parse(&["--progress-step", "250"]).unwrap().progress_step,
+            250.0
         );
     }
 
-    let mut report = ReportSpec::new(format!("dtnrun replay: {path}"));
-    report.push(record);
-    if !report.write_all(&args.outs) {
-        std::process::exit(1);
+    /// `--trace` and `--record` are sugar over `--scenario` and `--probe`,
+    /// checked by the shared parser.
+    #[test]
+    fn sugar_flags_use_the_shared_checks() {
+        refusal(&["--trace", "/nonexistent/contacts.trace"]);
+        refusal(&["--trace", "/dev/null", "--duration", "100"]);
+        let a = parse(&["--trace", "/dev/null", "--record", "run.trace"]).unwrap();
+        assert_eq!(a.common.scenario, "trace:/dev/null");
+        assert_eq!(a.common.probes.len(), 1);
     }
 }

@@ -13,7 +13,7 @@
 //! (`series,n_nodes,t,delivery_ratio,overhead_ratio`).
 //!
 //! ```text
-//! cargo run -p dtn-bench --release --bin fig2 -- [--full|--quick] [--seeds K]
+//! cargo run -p bench --release --bin fig2 -- [--full|--quick] [--seeds K]
 //! ```
 
 use dtn_bench::report::{print_series_table, settings_table, write_text, CommonArgs};
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 fn main() {
-    let args = match CommonArgs::parse(std::env::args().skip(1)) {
+    let args = match CommonArgs::parse(CommonArgs::default(), std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");

@@ -9,12 +9,16 @@
 //! protocol sees the identical contact process per family.
 //!
 //! ```text
-//! cargo run -p dtn-bench --release --bin shootout -- \
+//! cargo run -p bench --release --bin shootout -- \
 //!     [--seeds K] [--nodes a,b,c] [--duration SECS] \
 //!     [--protocols eer,cr,...] [--workload paper|hotspot|bursty] \
 //!     [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
 //!     [--trace <path>] [--out json:PATH|csv:PATH|md:PATH ...]
 //! ```
+//!
+//! The shared flags are parsed by `CommonArgs`; the scenario axis is the
+//! family list itself, so `--scenario` (and the figure-only `--full`,
+//! `--quick`, `--print-settings`) are refused.
 //!
 //! `--protocols` takes full protocol specs in the `--protocol` grammar, so
 //! tuned variants of one protocol can race each other:
@@ -34,28 +38,31 @@
 //! so the contact trace is never materialized — that pin contact-supply
 //! throughput in the BENCH trajectory (`--no-large-n` skips them).
 
-use dtn_bench::report::{write_text, CommonArgs, OutputSpec, ReportSpec};
+use dtn_bench::report::{write_text, CommonArgs, ReportSpec};
 use dtn_bench::{
-    resolve_store, run_matrix_records_stored, ProbeSpec, ProtocolKind, ProtocolSpec, RunSpec,
-    ScenarioCache, ScenarioSpec, SweepConfig, WorkloadSpec,
+    run_matrix_records_stored, ProtocolKind, ProtocolSpec, RunSpec, ScenarioCache, ScenarioSpec,
 };
 use std::path::Path;
 
+const USAGE: &str = "usage: shootout [--seeds K] [--nodes a,b,c] [--duration SECS] \
+                     [--protocols eer,cr,...] [--workload paper|hotspot|bursty] [--trace <path>] \
+                     [--probe timeseries[:dt=SECS]|latency ...] \
+                     [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
+                     [--store DIR|--no-store] \
+                     [--out json:PATH|csv:PATH|md:PATH ...] [--no-large-n]\n\
+                     \n\
+                     --protocols takes full specs (eer:lambda=4,eer:lambda=16,prophet:beta=0.25);\n\
+                     a comma starts a new spec when followed by a protocol name.\n\
+                     --out routes the report (default: json+csv under results/); the\n\
+                     BENCH_shootout.json perf trajectory is always written.\n\
+                     --no-large-n skips the city n=1000/10000/100000 supply cells.";
+
+/// Shootout's own flags; everything shared lives in [`CommonArgs`].
 struct Args {
-    seeds: u32,
-    node_counts: Vec<u32>,
-    duration: f64,
+    common: CommonArgs,
     protocols: Vec<ProtocolSpec>,
-    workload: WorkloadSpec,
     trace: Option<String>,
-    probes: Vec<ProbeSpec>,
-    outs: Vec<OutputSpec>,
     large_n: bool,
-    threads: Option<usize>,
-    run_threads: Option<u32>,
-    ring_drain: Option<usize>,
-    store: Option<String>,
-    no_store: bool,
 }
 
 /// Splits a `--protocols` list into individual spec strings. The separator
@@ -82,11 +89,15 @@ fn split_spec_list(s: &str) -> Vec<String> {
     out
 }
 
-fn parse_args() -> Result<Option<Args>, String> {
+/// `Ok(None)` means `--help` was requested.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut out = Args {
-        seeds: 2,
-        node_counts: vec![40, 80],
-        duration: 2_000.0,
+        common: CommonArgs {
+            seeds: 2,
+            node_counts: vec![40, 80],
+            duration: Some(2_000.0),
+            ..CommonArgs::default()
+        },
         protocols: [
             ProtocolKind::Eer,
             ProtocolKind::Cr,
@@ -98,98 +109,48 @@ fn parse_args() -> Result<Option<Args>, String> {
         .into_iter()
         .map(ProtocolSpec::paper)
         .collect(),
-        workload: WorkloadSpec::PaperUniform,
         trace: None,
-        probes: Vec::new(),
-        outs: Vec::new(),
         large_n: true,
-        threads: None,
-        run_threads: None,
-        ring_drain: None,
-        store: None,
-        no_store: false,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match a.as_str() {
-            "--seeds" => out.seeds = val("--seeds")?.parse().map_err(|e| format!("{e}"))?,
-            "--nodes" => {
-                out.node_counts = val("--nodes")?
-                    .split(',')
-                    .map(|s| s.parse().map_err(|e| format!("--nodes: {e}")))
-                    .collect::<Result<_, _>>()?
-            }
-            "--duration" => {
-                out.duration = val("--duration")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--protocols" => {
                 out.protocols = split_spec_list(&val("--protocols")?)
                     .iter()
                     .map(|s| ProtocolSpec::parse(s))
                     .collect::<Result<_, _>>()?
             }
-            "--workload" => out.workload = WorkloadSpec::parse(&val("--workload")?)?,
             "--trace" => {
                 let p = val("--trace")?;
                 // Fail on typos here, not in a worker thread mid-matrix.
                 std::fs::metadata(&p).map_err(|e| format!("cannot read {p}: {e}"))?;
                 out.trace = Some(p);
             }
-            "--probe" => out.probes.push(ProbeSpec::parse(&val("--probe")?)?),
-            "--out" => out.outs.push(OutputSpec::parse(&val("--out")?)?),
             "--no-large-n" => out.large_n = false,
-            "--threads" => {
-                out.threads = Some(
-                    val("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--run-threads" => {
-                out.run_threads = Some(
-                    val("--run-threads")?
-                        .parse()
-                        .map_err(|e| format!("--run-threads: {e}"))?,
-                )
-            }
-            "--drain" => out.ring_drain = CommonArgs::parse_drain(&val("--drain")?)?,
-            "--store" => out.store = Some(val("--store")?),
-            "--no-store" => out.no_store = true,
             "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown flag {other}")),
+            "--scenario" | "--full" | "--quick" | "--print-settings" => {
+                return Err(format!("shootout does not take {a} (try --help)"))
+            }
+            _ => {
+                if !out.common.parse_flag(&a, &mut it)? {
+                    return Err(format!("unknown flag {a}"));
+                }
+            }
         }
     }
-    if out.node_counts.is_empty() || out.protocols.is_empty() {
-        return Err("need at least one node count and one protocol".into());
-    }
-    if out.outs.is_empty() {
-        out.outs = vec![
-            OutputSpec::parse("json:results/shootout.json").expect("builtin"),
-            OutputSpec::parse("csv:results/shootout.csv").expect("builtin"),
-        ];
+    out.common = out.common.finish()?;
+    if out.protocols.is_empty() {
+        return Err("need at least one protocol".into());
     }
     Ok(Some(out))
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(Some(a)) => a,
         Ok(None) => {
-            println!(
-                "usage: shootout [--seeds K] [--nodes a,b,c] [--duration SECS] \
-                 [--protocols eer,cr,...] [--workload paper|hotspot|bursty] [--trace <path>] \
-                 [--probe timeseries[:dt=SECS]|latency ...] \
-                 [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
-                 [--store DIR|--no-store] \
-                 [--out json:PATH|csv:PATH|md:PATH ...] [--no-large-n]\n\
-                 \n\
-                 --protocols takes full specs (eer:lambda=4,eer:lambda=16,prophet:beta=0.25);\n\
-                 a comma starts a new spec when followed by a protocol name.\n\
-                 --out routes the report (default: json+csv under results/); the\n\
-                 BENCH_shootout.json perf trajectory is always written.\n\
-                 --no-large-n skips the city n=1000/10000/100000 supply cells."
-            );
+            println!("{USAGE}");
             return;
         }
         Err(e) => {
@@ -197,73 +158,45 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let common = &args.common;
 
-    // Scenario families to cross with the protocols. A trace family runs at
-    // the recording's native horizon and node count, so it contributes one
+    // Scenario families to cross with the protocols, each with the shared
+    // flags its cells are configured by. A trace family runs at the
+    // recording's native horizon and node count, so it contributes one
     // point per protocol rather than one per node count.
-    struct Cell {
-        scenario: ScenarioSpec,
-        duration: Option<f64>,
-    }
-    let generated = |f: fn(u32) -> ScenarioSpec| -> Vec<Cell> {
-        args.node_counts
-            .iter()
-            .map(|&n| Cell {
-                scenario: f(n),
-                duration: Some(args.duration),
-            })
-            .collect()
+    let native = CommonArgs {
+        duration: None,
+        ..common.clone()
     };
-    let mut families: Vec<(&str, Vec<Cell>)> = vec![
-        ("paper", generated(ScenarioSpec::paper)),
-        ("rwp", generated(ScenarioSpec::rwp)),
+    let generated = |f: fn(u32) -> ScenarioSpec| -> Vec<ScenarioSpec> {
+        common.node_counts.iter().map(|&n| f(n)).collect()
+    };
+    let mut families: Vec<(&str, &CommonArgs, Vec<ScenarioSpec>)> = vec![
+        ("paper", common, generated(ScenarioSpec::paper)),
+        ("rwp", common, generated(ScenarioSpec::rwp)),
     ];
     if let Some(path) = &args.trace {
-        families.push((
-            "trace",
-            vec![Cell {
-                scenario: ScenarioSpec::trace_path(path),
-                duration: None,
-            }],
-        ));
+        families.push(("trace", &native, vec![ScenarioSpec::trace_path(path)]));
     }
 
     let mut specs = Vec::new();
     for proto in &args.protocols {
-        for (family, cells) in &families {
-            for cell in cells {
+        for (family, shared, scenarios) in &families {
+            for scenario in scenarios {
                 // Labels carry the resolved spec, so two tuned variants of
                 // one protocol fold into distinct series.
                 let label = format!("{proto} @ {family}");
-                let mut spec = RunSpec::on(label, cell.scenario.clone(), proto.clone())
-                    .with_workload(args.workload.clone())
-                    .with_probes(args.probes.clone());
-                if let Some(d) = cell.duration {
-                    spec = spec.with_duration(d);
-                }
-                if let Some(t) = args.run_threads {
-                    spec = spec.with_run_threads(t);
-                }
-                if let Some(c) = args.ring_drain {
-                    spec = spec.with_ring_drain(c);
-                }
-                specs.push(spec);
+                specs.push(shared.configure(RunSpec::on(label, scenario.clone(), proto.clone())));
             }
         }
     }
 
-    let mut cfg = SweepConfig {
-        seeds: args.seeds,
-        ..SweepConfig::default()
-    };
-    if let Some(t) = args.threads {
-        cfg.threads = t;
-    }
+    let cfg = common.sweep_config();
     eprintln!(
         "shootout: {} protocols x {} families over {:?} nodes x {} seeds ({} cells)",
         args.protocols.len(),
         families.len(),
-        args.node_counts,
+        common.node_counts,
         cfg.effective_seeds(),
         specs.len()
     );
@@ -293,24 +226,26 @@ fn main() {
                     ScenarioSpec::city(n, ScenarioSpec::districts_for(n)),
                     epidemic.clone(),
                 )
-                .with_workload(args.workload.clone())
+                .with_workload(common.workload.clone())
                 .with_duration(horizon)
                 .with_run_threads(threads),
             );
         }
     }
-    let store = resolve_store(args.store.as_deref(), args.no_store);
+    let store = common.open_store();
     let records = run_matrix_records_stored(&ScenarioCache::new(), &specs, cfg, store.as_ref());
 
     let mut report = ReportSpec::new(format!(
         "Protocol shootout across scenario families ({} workload, {:.0} s horizon)",
-        args.workload, args.duration
+        common.workload,
+        common.duration.expect("shootout defaults the horizon")
     ));
     report.records = records;
 
     print!("{}", report.render_table());
     eprintln!();
-    let all_written = report.write_all(&args.outs);
+    let all_written = report
+        .write_all(&common.outs_or(&["json:results/shootout.json", "csv:results/shootout.csv"]));
 
     // The perf trajectory rides along unconditionally: cells + wall-clock,
     // comparable run-over-run.
@@ -324,5 +259,46 @@ fn main() {
     }
     if !all_written {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|s| s.to_string())).map(|a| a.expect("not --help"))
+    }
+
+    #[test]
+    fn defaults_stay_laptop_sized() {
+        let a = parse(&[]).unwrap();
+        assert_eq!(a.common.seeds, 2);
+        assert_eq!(a.common.node_counts, [40, 80]);
+        assert_eq!(a.common.duration, Some(2000.0));
+        assert!(a.large_n);
+    }
+
+    /// Figure-only flags are refused by name, and bad horizons fail before
+    /// anything runs or `BENCH_shootout.json` is written.
+    #[test]
+    fn refuses_figure_flags_and_bad_horizons() {
+        for args in [
+            &["--scenario", "rwp"][..],
+            &["--full"],
+            &["--quick"],
+            &["--print-settings"],
+        ] {
+            match parse(args) {
+                Ok(_) => panic!("{args:?} was accepted"),
+                Err(e) => assert!(e.contains(args[0]), "{args:?}: {e}"),
+            }
+        }
+        for bad in ["-5", "nan", "0"] {
+            assert!(
+                parse(&["--duration", bad, "--no-large-n"]).is_err(),
+                "{bad}"
+            );
+        }
     }
 }

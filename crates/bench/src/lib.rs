@@ -11,9 +11,9 @@
 //! * prints the same series the paper plots and writes CSV files under
 //!   `results/`.
 //!
-//! Binaries: `fig2`, `fig3`, `fig4`, `ablation` (see `--help` of each),
-//! `smoke` (one-shot sanity run), `dtnrun` (single-run report / trace
-//! replay), `shootout` (all protocols across scenario families in one
+//! Binaries: `fig2`, `ablation` (data-driven grids, the paper's Figs. 3
+//! and 4 and an every-protocol sanity pass among them), `dtnrun`
+//! (single-run report / trace replay), `shootout` (all protocols across scenario families in one
 //! matrix), `reportcheck` (schema validator for emitted JSON and TRACE/1.0
 //! event-log artifacts), `dtndiff` (drift classifier between two artifacts
 //! or two reports — the CI regression gate). All of them
@@ -70,8 +70,7 @@ pub use fabric::run_indexed;
 pub use probes::ProbeSpec;
 pub use protocols::{ProtocolKind, ProtocolParams, ProtocolSpec};
 pub use report::{
-    print_series_table, write_csv, CellSummary, MetricSummary, OutputSpec, ReportSpec, RunRecord,
-    Series,
+    print_series_table, CellSummary, MetricSummary, OutputSpec, ReportSpec, RunRecord, Series,
 };
 pub use runner::{
     replay_artifact, run_cell, run_matrix_records_stored, run_spec_observed, run_stream,

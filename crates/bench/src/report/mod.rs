@@ -22,9 +22,9 @@
 //!   selected via repeatable `--out` flags ([`OutputSpec`]).
 //! * [`json`] — the offline JSON document model the emitters build on.
 //!
-//! This module additionally keeps the legacy figure-table helpers
-//! ([`Series`], [`print_series_table`], [`write_csv`]) and the shared CLI
-//! argument parser ([`CommonArgs`]).
+//! This module also holds fig2's three-panel table ([`Series`],
+//! [`print_series_table`]) and the one parser of the shared CLI flags
+//! ([`CommonArgs`]).
 //!
 //! ```
 //! use dtn_bench::report::ReportSpec;
@@ -58,7 +58,6 @@ use crate::probes::ProbeSpec;
 use dtn_mobility::{ScenarioSpec, TraceSource, WorkloadSpec};
 use dtn_sim::MetricPoint;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// One plotted series: a label plus a point per x value.
 #[derive(Clone, Debug)]
@@ -104,29 +103,10 @@ pub fn print_series_table(title: &str, xs: &[u32], series: &[Series]) -> String 
     out
 }
 
-/// Writes the series as CSV:
-/// `series,n_nodes,delivery_ratio,latency,goodput,runs`.
-///
-/// Parent directories are created as needed; failures — including a parent
-/// that exists but is not a directory, and a bare filename whose empty
-/// `parent()` used to make the old implementation error spuriously — come
-/// back as an [`std::io::Error`] naming the offending path (see
-/// [`write_text`]).
-pub fn write_csv(path: &Path, series: &[Series]) -> std::io::Result<()> {
-    let mut out = String::from("series,n_nodes,delivery_ratio,latency,goodput,runs\n");
-    for s in series {
-        for (x, p) in &s.points {
-            let _ = writeln!(
-                out,
-                "{},{},{:.6},{:.3},{:.6},{}",
-                s.label, x, p.delivery_ratio, p.latency, p.goodput, p.runs
-            );
-        }
-    }
-    write_text(path, &out)
-}
-
-/// Parses common CLI flags shared by the figure binaries.
+/// The shared sweep flags, parsed in one place ([`CommonArgs::parse_flag`])
+/// for every binary that runs simulations: `fig2` and `ablation` take all of
+/// them through [`CommonArgs::parse`]; `shootout` and `dtnrun` match their
+/// own flags first and hand the rest to [`CommonArgs::parse_flag`].
 #[derive(Clone, Debug)]
 pub struct CommonArgs {
     /// Seeds per point.
@@ -149,7 +129,7 @@ pub struct CommonArgs {
     /// [`crate::probes`]). Binaries with a curve mode (fig2) add their own
     /// default when this is empty.
     pub probes: Vec<ProbeSpec>,
-    /// Print the paper's settings table and exit.
+    /// Print the paper's settings table ([`settings_table`]) and exit.
     pub print_settings: bool,
     /// Sweep worker threads (`--threads`); `None` = the
     /// [`SweepConfig`](crate::SweepConfig) default (available parallelism).
@@ -170,13 +150,11 @@ pub struct CommonArgs {
     pub no_store: bool,
 }
 
-impl CommonArgs {
-    /// Parses `--full`, `--seeds K`, `--nodes a,b,c`, `--quick`,
-    /// `--scenario FAMILY`, `--workload KIND`, `--duration SECS`,
-    /// `--out FORMAT:PATH` (repeatable), `--probe SPEC` (repeatable),
-    /// `--print-settings` from `args`.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut out = CommonArgs {
+impl Default for CommonArgs {
+    /// The figure defaults: 3 seeds over the paper's N ∈ {40, …, 240} on
+    /// the paper scenario and workload, at each scenario's own horizon.
+    fn default() -> Self {
+        CommonArgs {
             seeds: 3,
             node_counts: vec![40, 80, 120, 160, 200, 240],
             scenario: "paper".into(),
@@ -190,99 +168,113 @@ impl CommonArgs {
             ring_drain: None,
             store: None,
             no_store: false,
-        };
-        let mut it = args.peekable();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--full" => out.seeds = 10,
-                "--quick" => {
-                    out.seeds = 1;
-                    out.node_counts = vec![40, 120, 200];
-                }
-                "--seeds" => {
-                    let v = it.next().ok_or("--seeds needs a value")?;
-                    out.seeds = v.parse().map_err(|e| format!("--seeds: {e}"))?;
-                }
-                "--nodes" => {
-                    let v = it.next().ok_or("--nodes needs a value")?;
-                    out.node_counts = v
-                        .split(',')
-                        .map(|s| s.parse().map_err(|e| format!("--nodes: {e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "--scenario" => {
-                    let v = it.next().ok_or("--scenario needs a value")?;
-                    // Validate now — including the trace file's existence —
-                    // so typos fail before a sweep starts, not in a worker
-                    // thread mid-matrix.
-                    if let ScenarioSpec::TraceReplay {
-                        source: TraceSource::Path(p),
-                    } = ScenarioSpec::parse(&v, 2)?
-                    {
-                        std::fs::metadata(&p).map_err(|e| format!("cannot read {p}: {e}"))?;
-                    }
-                    out.scenario = v;
-                }
-                "--workload" => {
-                    let v = it.next().ok_or("--workload needs a value")?;
-                    out.workload = WorkloadSpec::parse(&v)?;
-                }
-                "--duration" => {
-                    let v = it.next().ok_or("--duration needs a value")?;
-                    let d: f64 = v.parse().map_err(|e| format!("--duration: {e}"))?;
-                    if !d.is_finite() || d <= 0.0 {
-                        return Err(format!("--duration: need a positive horizon, got {v}"));
-                    }
-                    out.duration = Some(d);
-                }
-                "--out" => {
-                    let v = it.next().ok_or("--out needs FORMAT:PATH")?;
-                    out.outs.push(OutputSpec::parse(&v)?);
-                }
-                "--probe" => {
-                    let v = it.next().ok_or("--probe needs a spec")?;
-                    out.probes.push(ProbeSpec::parse(&v)?);
-                }
-                "--print-settings" => out.print_settings = true,
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    let t: usize = v.parse().map_err(|e| format!("--threads: {e}"))?;
-                    out.threads = Some(t);
-                }
-                "--run-threads" => {
-                    let v = it.next().ok_or("--run-threads needs a value")?;
-                    let t: u32 = v.parse().map_err(|e| format!("--run-threads: {e}"))?;
-                    out.run_threads = Some(t);
-                }
-                "--drain" => {
-                    let v = it.next().ok_or("--drain needs inline|ring[:CAP]")?;
-                    out.ring_drain = Self::parse_drain(&v)?;
-                }
-                "--store" => {
-                    let v = it.next().ok_or("--store needs a directory")?;
-                    out.store = Some(v);
-                }
-                "--no-store" => out.no_store = true,
-                "--help" | "-h" => {
-                    return Err("usage: [--full|--quick] [--seeds K] \
-                                [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
-                                [--workload paper|hotspot|bursty] [--duration SECS] \
-                                [--out json:PATH|csv:PATH|md:PATH ...] \
-                                [--probe timeseries[:dt=SECS]|latency ...] \
-                                [--threads N] [--run-threads N] \
-                                [--drain inline|ring[:CAP]] \
-                                [--store DIR|--no-store] \
-                                [--print-settings]"
-                        .into())
-                }
-                other => return Err(format!("unknown flag {other}")),
+        }
+    }
+}
+
+impl CommonArgs {
+    /// Parses `args`, which must hold shared flags only, on top of the
+    /// calling binary's `defaults`, then runs the cross-flag checks
+    /// ([`CommonArgs::finish`]).
+    pub fn parse(defaults: Self, mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut out = defaults;
+        while let Some(a) = args.next() {
+            if a == "--help" || a == "-h" {
+                return Err("usage: [--full|--quick] [--seeds K] \
+                            [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
+                            [--workload paper|hotspot|bursty] [--duration SECS] \
+                            [--out json:PATH|csv:PATH|md:PATH ...] \
+                            [--probe timeseries[:dt=SECS]|latency ...] \
+                            [--threads N] [--run-threads N] \
+                            [--drain inline|ring[:CAP]] \
+                            [--store DIR|--no-store] \
+                            [--print-settings]"
+                    .into());
+            }
+            if !out.parse_flag(&a, &mut args)? {
+                return Err(format!("unknown flag {a}"));
             }
         }
-        if out.seeds == 0 || out.node_counts.is_empty() {
+        out.finish()
+    }
+
+    /// Parses and validates one shared flag, taking its value (if any)
+    /// from `rest`. `Ok(false)` means `flag` is not a shared flag, so the
+    /// caller may own it.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
+            "--full" => self.seeds = 10,
+            "--quick" => {
+                self.seeds = 1;
+                self.node_counts = vec![40, 120, 200];
+            }
+            "--seeds" => self.seeds = value()?.parse().map_err(|e| format!("--seeds: {e}"))?,
+            "--nodes" => {
+                self.node_counts = value()?
+                    .split(',')
+                    .map(|s| match s.parse() {
+                        Ok(n) if n >= 2 => Ok(n),
+                        Ok(n) => Err(format!("--nodes: a scenario needs >= 2 nodes, got {n}")),
+                        Err(e) => Err(format!("--nodes: {e}")),
+                    })
+                    .collect::<Result<_, _>>()?
+            }
+            "--scenario" => {
+                let v = value()?;
+                // Validate now — including the trace file's existence — so
+                // typos fail before a sweep starts, not in a worker thread
+                // mid-matrix.
+                if let ScenarioSpec::TraceReplay {
+                    source: TraceSource::Path(p),
+                } = ScenarioSpec::parse(&v, 2)?
+                {
+                    std::fs::metadata(&p).map_err(|e| format!("cannot read {p}: {e}"))?;
+                }
+                self.scenario = v;
+            }
+            "--workload" => self.workload = WorkloadSpec::parse(&value()?)?,
+            "--duration" => {
+                let v = value()?;
+                let d: f64 = v.parse().map_err(|e| format!("--duration: {e}"))?;
+                if !d.is_finite() || d <= 0.0 {
+                    return Err(format!("--duration: need a positive horizon, got {v}"));
+                }
+                self.duration = Some(d);
+            }
+            "--out" => self.outs.push(OutputSpec::parse(&value()?)?),
+            "--probe" => self.probes.push(ProbeSpec::parse(&value()?)?),
+            "--print-settings" => self.print_settings = true,
+            "--threads" => {
+                self.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
+            }
+            "--run-threads" => {
+                self.run_threads = Some(
+                    value()?
+                        .parse()
+                        .map_err(|e| format!("--run-threads: {e}"))?,
+                )
+            }
+            "--drain" => self.ring_drain = Self::parse_drain(&value()?)?,
+            "--store" => self.store = Some(value()?),
+            "--no-store" => self.no_store = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The cross-flag checks, run once after the last flag: at least one
+    /// seed and one node count, and no `--duration` with trace replay.
+    pub fn finish(self) -> Result<Self, String> {
+        if self.seeds == 0 || self.node_counts.is_empty() {
             return Err("need at least one seed and one node count".into());
         }
-        if out.duration.is_some()
-            && ScenarioSpec::parse(&out.scenario, 2)?
+        if self.duration.is_some()
+            && ScenarioSpec::parse(&self.scenario, 2)?
                 .default_duration()
                 .is_none()
         {
@@ -292,7 +284,7 @@ impl CommonArgs {
                     .into(),
             );
         }
-        Ok(out)
+        Ok(self)
     }
 
     /// The scenario spec for the sweep's `n`-node point. Trace replay
@@ -304,7 +296,7 @@ impl CommonArgs {
     /// Parses a `--drain` value: `inline` (the default dispatch) or
     /// `ring[:CAP]` for the off-thread observer drain (`CAP` defaults to
     /// 16 in-flight batches; minimum 1).
-    pub fn parse_drain(v: &str) -> Result<Option<usize>, String> {
+    fn parse_drain(v: &str) -> Result<Option<usize>, String> {
         match v {
             "inline" => Ok(None),
             "ring" => Ok(Some(16)),
@@ -371,7 +363,7 @@ impl CommonArgs {
     }
 }
 
-/// The paper's §V-A settings table, printed by every figure binary with
+/// The paper's §V-A settings table, printed by `fig2` and `ablation` with
 /// `--print-settings`.
 pub fn settings_table() -> &'static str {
     "Simulation settings (paper §V-A):\n\
@@ -434,72 +426,107 @@ mod tests {
         assert!(t.contains("400.0"));
     }
 
-    #[test]
-    fn csv_round_trip_format() {
-        let dir = std::env::temp_dir().join("dtn_bench_test_csv");
-        let path = dir.join("fig.csv");
-        write_csv(&path, &sample_series()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("series,n_nodes,"));
-        assert!(text.contains("EER,40,0.500000,400.000,0.050000,3"));
-        std::fs::remove_dir_all(&dir).ok();
+    /// Parses `args` on top of the figure defaults.
+    fn parse(args: &[&str]) -> Result<CommonArgs, String> {
+        parse_with(CommonArgs::default(), args)
+    }
+
+    fn parse_with(defaults: CommonArgs, args: &[&str]) -> Result<CommonArgs, String> {
+        CommonArgs::parse(defaults, args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn args_parse_defaults_and_flags() {
-        let d = CommonArgs::parse(std::iter::empty()).unwrap();
+        let d = parse(&[]).unwrap();
         assert_eq!(d.seeds, 3);
         assert_eq!(d.node_counts, vec![40, 80, 120, 160, 200, 240]);
-        let f = CommonArgs::parse(["--full".to_string()].into_iter()).unwrap();
+        let f = parse(&["--full"]).unwrap();
         assert_eq!(f.seeds, 10);
-        let q = CommonArgs::parse(["--quick".to_string()].into_iter()).unwrap();
+        let q = parse(&["--quick"]).unwrap();
         assert_eq!(q.seeds, 1);
         assert_eq!(q.node_counts.len(), 3);
-        let n = CommonArgs::parse(
-            [
-                "--nodes".to_string(),
-                "40,80".to_string(),
-                "--seeds".to_string(),
-                "5".to_string(),
-            ]
-            .into_iter(),
-        )
-        .unwrap();
+        let n = parse(&["--nodes", "40,80", "--seeds", "5"]).unwrap();
         assert_eq!(n.node_counts, vec![40, 80]);
         assert_eq!(n.seeds, 5);
-        assert!(CommonArgs::parse(["--bogus".to_string()].into_iter()).is_err());
-        assert!(CommonArgs::parse(["--seeds".to_string(), "0".to_string()].into_iter()).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--seeds", "0"]).is_err());
+        assert!(parse(&["--nodes"]).is_err());
+        // A scenario needs two nodes; the builder asserts it.
+        assert!(parse(&["--nodes", "40,1"]).is_err());
+        assert!(parse(&["--nodes", "0"]).is_err());
+    }
+
+    /// Each binary parses on top of its own defaults, and an explicit flag
+    /// always wins — even when it spells out the figure defaults (an
+    /// ablation asked for `--nodes 40,…,240` must run those six points).
+    #[test]
+    fn caller_defaults_apply_and_explicit_flags_win() {
+        let ablation = || CommonArgs {
+            node_counts: vec![80, 160],
+            ..CommonArgs::default()
+        };
+        assert_eq!(parse_with(ablation(), &[]).unwrap().node_counts, [80, 160]);
+        let paper = parse_with(ablation(), &["--nodes", "40,80,120,160,200,240"]).unwrap();
+        assert_eq!(paper.node_counts, [40, 80, 120, 160, 200, 240]);
+
+        let shootout = CommonArgs {
+            seeds: 2,
+            node_counts: vec![40, 80],
+            duration: Some(2000.0),
+            ..CommonArgs::default()
+        };
+        let s = parse_with(shootout.clone(), &[]).unwrap();
+        assert_eq!((s.seeds, s.duration), (2, Some(2000.0)));
+        assert_eq!(
+            parse_with(shootout, &["--duration", "800"])
+                .unwrap()
+                .duration,
+            Some(800.0)
+        );
+
+        assert!(!parse(&[]).unwrap().print_settings);
+        assert!(
+            parse_with(ablation(), &["--print-settings"])
+                .unwrap()
+                .print_settings
+        );
+    }
+
+    /// `parse_flag` consumes exactly the shared flags (and their values)
+    /// and leaves everything else to the calling binary.
+    #[test]
+    fn parse_flag_leaves_binary_flags_alone() {
+        let mut args = CommonArgs::default();
+        let mut rest = ["8".to_string(), "eer".to_string()].into_iter();
+        assert!(args.parse_flag("--seeds", &mut rest).unwrap());
+        assert_eq!(args.seeds, 8);
+        assert!(!args.parse_flag("--protocol", &mut rest).unwrap());
+        assert_eq!(rest.next().as_deref(), Some("eer"), "value left unconsumed");
+        assert!(args.parse_flag("--duration", &mut rest).is_err());
     }
 
     /// `--store DIR` / `--no-store` parse, default to "no override, store
     /// on", and `open_store` honors the disable switch.
     #[test]
     fn store_flags_parse_and_resolve() {
-        let d = CommonArgs::parse(std::iter::empty()).unwrap();
+        let d = parse(&[]).unwrap();
         assert_eq!(d.store, None);
         assert!(!d.no_store);
 
-        let s =
-            CommonArgs::parse(["--store".to_string(), "results/alt-store".to_string()].into_iter())
-                .unwrap();
+        let s = parse(&["--store", "results/alt-store"]).unwrap();
         assert_eq!(s.store.as_deref(), Some("results/alt-store"));
 
-        let n = CommonArgs::parse(["--no-store".to_string()].into_iter()).unwrap();
+        let n = parse(&["--no-store"]).unwrap();
         assert!(n.no_store);
         assert!(n.open_store().is_none(), "--no-store disables the store");
-        assert!(CommonArgs::parse(["--store".to_string()].into_iter()).is_err());
+        assert!(parse(&["--store"]).is_err());
     }
 
     /// The execution flags parse, reach `SweepConfig`/`RunSpec` through the
     /// helpers, and never perturb cell identity.
     #[test]
     fn execution_flags_parse_and_configure() {
-        let args = CommonArgs::parse(
-            ["--threads", "4", "--run-threads", "2", "--drain", "ring:8"]
-                .map(String::from)
-                .into_iter(),
-        )
-        .unwrap();
+        let args = parse(&["--threads", "4", "--run-threads", "2", "--drain", "ring:8"]).unwrap();
         assert_eq!(args.threads, Some(4));
         assert_eq!(args.run_threads, Some(2));
         assert_eq!(args.ring_drain, Some(8));
@@ -523,48 +550,37 @@ mod tests {
 
     #[test]
     fn duration_flag_parses_and_rejects_trace_replay() {
-        let d =
-            CommonArgs::parse(["--duration".to_string(), "1500".to_string()].into_iter()).unwrap();
+        let d = parse(&["--duration", "1500"]).unwrap();
         assert_eq!(d.duration, Some(1500.0));
-        assert!(
-            CommonArgs::parse(["--duration".to_string(), "0".to_string()].into_iter()).is_err()
-        );
-        assert!(
-            CommonArgs::parse(["--duration".to_string(), "-5".to_string()].into_iter()).is_err()
-        );
+        // Every horizon that is not finite and positive is refused, on top
+        // of any binary's defaults (shootout's default horizon included).
+        let shootout = CommonArgs {
+            duration: Some(2000.0),
+            ..CommonArgs::default()
+        };
+        for bad in ["0", "-5", "-100", "nan", "NaN", "inf", "-inf", "x"] {
+            assert!(parse(&["--duration", bad]).is_err(), "{bad}");
+            assert!(
+                parse_with(shootout.clone(), &["--duration", bad]).is_err(),
+                "{bad}"
+            );
+        }
         // A replayed trace runs at its native horizon; combining it with a
         // duration override is a parse-time error, whatever the flag order.
-        let err = CommonArgs::parse(
-            [
-                "--duration".to_string(),
-                "1500".to_string(),
-                "--scenario".to_string(),
-                "trace:/dev/null".to_string(),
-            ]
-            .into_iter(),
-        );
-        assert!(err.is_err());
+        assert!(parse(&["--duration", "1500", "--scenario", "trace:/dev/null"]).is_err());
+        assert!(parse(&["--scenario", "trace:/dev/null", "--duration", "1500"]).is_err());
     }
 
     #[test]
     fn out_flag_parses_and_defaults_apply() {
-        let a = CommonArgs::parse(
-            [
-                "--out".to_string(),
-                "json:results/a.json".to_string(),
-                "--out".to_string(),
-                "md:a.md".to_string(),
-            ]
-            .into_iter(),
-        )
-        .unwrap();
+        let a = parse(&["--out", "json:results/a.json", "--out", "md:a.md"]).unwrap();
         assert_eq!(a.outs.len(), 2);
         assert_eq!(a.outs_or(&["csv:default.csv"]).len(), 2, "--out wins");
-        let d = CommonArgs::parse(std::iter::empty()).unwrap();
+        let d = parse(&[]).unwrap();
         let outs = d.outs_or(&["csv:default.csv"]);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].format, OutputFormat::Csv);
-        assert!(CommonArgs::parse(["--out".to_string(), "tsv:x".to_string()].into_iter()).is_err());
+        assert!(parse(&["--out", "tsv:x"]).is_err());
     }
 
     #[test]
