@@ -185,13 +185,9 @@ const ABLATIONS: &[Ablation] = &[
 fn usage() -> String {
     let names: Vec<&str> = ABLATIONS.iter().map(|a| a.name).collect();
     format!(
-        "usage: ablation <{}|detected-communities|grid <spec>...> \
-         [--full|--quick] [--seeds K] [--nodes a,b,c] \
-         [--scenario paper|rwp|trace:<path>] [--workload paper|hotspot|bursty] \
-         [--duration SECS] [--probe SPEC ...] [--threads N] [--run-threads N] \
-         [--drain inline|ring[:CAP]] [--store DIR|--no-store] \
-         [--out json:PATH|csv:PATH|md:PATH ...] [--print-settings]",
-        names.join("|")
+        "usage: ablation <{}|detected-communities|grid <spec>...> {}",
+        names.join("|"),
+        CommonArgs::FLAGS_USAGE
     )
 }
 
@@ -286,6 +282,10 @@ fn main() {
         die(usage());
     }
     let which = argv.remove(0);
+    if which == "--help" || which == "-h" {
+        println!("{}", usage());
+        return;
+    }
     let preset = ABLATIONS.iter().find(|a| a.name == which);
 
     // Resolve the grid: a named row's data, or — for `grid` — the specs
@@ -329,7 +329,11 @@ fn main() {
         node_counts: preset.map_or(ABLATION_NODES, |a| a.nodes).to_vec(),
         ..CommonArgs::default()
     };
-    let args = CommonArgs::parse(defaults, argv.into_iter()).unwrap_or_else(|e| die(e));
+    let Some(args) = CommonArgs::parse(defaults, argv.into_iter()).unwrap_or_else(|e| die(e))
+    else {
+        println!("{}", usage());
+        return;
+    };
     if args.print_settings {
         println!("{}", settings_table());
         return;

@@ -173,29 +173,32 @@ impl Default for CommonArgs {
 }
 
 impl CommonArgs {
+    /// The shared flags, for a binary's usage line.
+    pub const FLAGS_USAGE: &'static str = "[--full|--quick] [--seeds K] \
+        [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
+        [--workload paper|hotspot|bursty] [--duration SECS] \
+        [--out json:PATH|csv:PATH|md:PATH ...] \
+        [--probe timeseries[:dt=SECS]|latency ...] \
+        [--threads N] [--run-threads N] [--drain inline|ring[:CAP]] \
+        [--store DIR|--no-store] [--print-settings]";
+
     /// Parses `args`, which must hold shared flags only, on top of the
     /// calling binary's `defaults`, then runs the cross-flag checks
-    /// ([`CommonArgs::finish`]).
-    pub fn parse(defaults: Self, mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// ([`CommonArgs::finish`]). `Ok(None)` means `--help` was requested.
+    pub fn parse(
+        defaults: Self,
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<Option<Self>, String> {
         let mut out = defaults;
         while let Some(a) = args.next() {
             if a == "--help" || a == "-h" {
-                return Err("usage: [--full|--quick] [--seeds K] \
-                            [--nodes a,b,c] [--scenario paper|rwp|trace:<path>] \
-                            [--workload paper|hotspot|bursty] [--duration SECS] \
-                            [--out json:PATH|csv:PATH|md:PATH ...] \
-                            [--probe timeseries[:dt=SECS]|latency ...] \
-                            [--threads N] [--run-threads N] \
-                            [--drain inline|ring[:CAP]] \
-                            [--store DIR|--no-store] \
-                            [--print-settings]"
-                    .into());
+                return Ok(None);
             }
             if !out.parse_flag(&a, &mut args)? {
                 return Err(format!("unknown flag {a}"));
             }
         }
-        out.finish()
+        out.finish().map(Some)
     }
 
     /// Parses and validates one shared flag, taking its value (if any)
@@ -433,6 +436,23 @@ mod tests {
 
     fn parse_with(defaults: CommonArgs, args: &[&str]) -> Result<CommonArgs, String> {
         CommonArgs::parse(defaults, args.iter().map(|s| s.to_string()))
+            .map(|a| a.expect("not --help"))
+    }
+
+    /// `--help` anywhere among the shared flags asks for usage instead of
+    /// an error, even after a flag that would fail.
+    #[test]
+    fn help_is_not_an_error() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["--seeds", "2", "--help"],
+            &["--help", "--bogus"],
+        ] {
+            let parsed =
+                CommonArgs::parse(CommonArgs::default(), args.iter().map(|s| s.to_string()));
+            assert!(matches!(parsed, Ok(None)), "{args:?}: {parsed:?}");
+        }
     }
 
     #[test]

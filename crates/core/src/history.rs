@@ -31,7 +31,8 @@ pub struct PairHistory {
     recent: Vec<f64>,
     /// The same intervals, sorted ascending.
     sorted: Vec<f64>,
-    /// `prefix[k]` = sum of `sorted[..k]`.
+    /// `prefix[k]` = sum of `sorted[..k]`; empty (no allocation) until the
+    /// first interval is recorded, and read only when `sorted` is non-empty.
     prefix: Vec<f64>,
     window: usize,
 }
@@ -44,7 +45,7 @@ impl PairHistory {
             last_meet: None,
             recent: Vec::new(),
             sorted: Vec::new(),
-            prefix: vec![0.0],
+            prefix: Vec::new(),
             window,
         }
     }
@@ -357,6 +358,27 @@ mod tests {
         assert!((p - p1).abs() < 1e-12);
         // Empty community → 0.
         assert_eq!(ch.community_meet_probability(now, 100.0, &[]), 0.0);
+    }
+
+    /// A pair that never met has no prefix sums at all; every estimator
+    /// answers from the empty window without reading them.
+    #[test]
+    fn never_met_pair_answers_without_prefix() {
+        let mut h = PairHistory::new(8);
+        assert!(h.prefix.is_empty(), "no allocation for a pair never met");
+        let now = SimTime::secs(50.0);
+        assert_eq!(h.mean_interval(), None);
+        assert_eq!(h.expected_meeting_delay(now), None);
+        assert_eq!(h.meet_probability(now, 100.0), 0.0);
+        // Met once: an anchor but still no interval, so still no prefix.
+        h.record_meeting(SimTime::secs(10.0));
+        assert!(h.prefix.is_empty());
+        assert_eq!(h.mean_interval(), None);
+        assert_eq!(h.expected_meeting_delay(now), None);
+        assert_eq!(h.meet_probability(now, 100.0), 0.0);
+        h.record_meeting(SimTime::secs(30.0));
+        assert_eq!(h.prefix, [0.0, 20.0]);
+        assert_eq!(h.mean_interval(), Some(20.0));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! for the elapsed time since each last contact. The MEMD from the source to
 //! every destination is the shortest-path distance over `MD` — computed here
 //! with a dense O(n²) Dijkstra that never materialises the matrix copy: edge
-//! weights are read from `MI` except for rows overridden by the caller.
+//! weights are read row by row from `MI`'s shared row handles (see
+//! [`crate::mi`]), except for the source row, which the caller overrides.
 //!
 //! One solver instance owns its scratch buffers so repeated per-contact
 //! computations don't allocate.

@@ -9,57 +9,59 @@
 //! to be exchanged ... which can reduce the routing information exchange
 //! overhead greatly").
 //!
+//! Because gossip adopts whole rows, a node's copy of row `i` is always
+//! node `i`'s own row at some stamp. The matrix therefore holds no `n × n`
+//! block of its own: each row is a shared, immutable handle
+//! ([`dtn_sim::StampedRows`]), adopting a row clones a pointer, and every
+//! node that knows one version of a row shares one allocation of it.
+//!
 //! Unknown entries are `f64::INFINITY`; the diagonal is 0.
 
-use dtn_sim::NodeId;
+use dtn_sim::{NodeId, StampedRows};
 
 /// Meeting-interval matrix with per-row freshness stamps.
 #[derive(Clone, Debug)]
 pub struct MiMatrix {
-    n: usize,
-    /// Row-major `n × n`; `INFINITY` = unknown, diagonal = 0.
-    data: Vec<f64>,
-    /// Last update time per row; `-1` = never updated.
-    row_time: Vec<f64>,
+    /// `INFINITY` = unknown; never-updated rows share one all-unknown row.
+    rows: StampedRows,
 }
 
 impl MiMatrix {
     /// Creates an all-unknown matrix for `n` nodes.
     pub fn new(n: u32) -> Self {
-        let n = n as usize;
-        let mut data = vec![f64::INFINITY; n * n];
-        for i in 0..n {
-            data[i * n + i] = 0.0;
-        }
         MiMatrix {
-            n,
-            data,
-            row_time: vec![-1.0; n],
+            rows: StampedRows::new(n as usize, f64::INFINITY),
         }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
-    /// Entry `I_ij`.
+    /// Entry `I_ij` (0 on the diagonal).
     #[inline]
     pub fn get(&self, i: NodeId, j: NodeId) -> f64 {
-        self.data[i.idx() * self.n + j.idx()]
+        if i == j {
+            0.0
+        } else {
+            self.rows.row(i.idx())[j.idx()]
+        }
     }
 
-    /// Row `i` as a slice.
+    /// Row `i` as a slice. Its diagonal entry is not meaningful (rows are
+    /// shared, and never-updated rows share one all-unknown row); use
+    /// [`MiMatrix::get`], which is 0 there.
     #[inline]
     pub fn row(&self, i: NodeId) -> &[f64] {
-        &self.data[i.idx() * self.n..(i.idx() + 1) * self.n]
+        self.rows.row(i.idx())
     }
 
     /// Freshness stamp of row `i` (`-1` = never updated).
     #[inline]
     pub fn row_time(&self, i: NodeId) -> f64 {
-        self.row_time[i.idx()]
+        self.rows.stamp(i.idx())
     }
 
     /// Overwrites row `i` with `values` and stamps it with `time`.
@@ -67,43 +69,34 @@ impl MiMatrix {
     /// # Panics
     /// Panics if `values.len() != n`.
     pub fn set_row(&mut self, i: NodeId, values: &[f64], time: f64) {
-        assert_eq!(values.len(), self.n);
-        self.data[i.idx() * self.n..(i.idx() + 1) * self.n].copy_from_slice(values);
-        self.data[i.idx() * self.n + i.idx()] = 0.0;
-        self.row_time[i.idx()] = time;
+        self.rows.set_row(i.idx(), values, time);
     }
 
-    /// Updates a single entry of row `i` (stamping the row with `time`).
+    /// Updates a single entry of row `i` (stamping the row with `time`, or
+    /// keeping its stamp if that is fresher). A row other matrices share
+    /// is copied first, so their copies never change.
     pub fn set_entry(&mut self, i: NodeId, j: NodeId, value: f64, time: f64) {
-        self.data[i.idx() * self.n + j.idx()] = value;
-        self.row_time[i.idx()] = self.row_time[i.idx()].max(time);
+        let stamp = self.row_time(i).max(time);
+        self.rows
+            .edit_row(i.idx(), stamp, |row| row[j.idx()] = value);
     }
 
     /// Adopts every row the `other` matrix has fresher. Returns the number
     /// of rows copied (for control-overhead accounting).
     pub fn merge_from(&mut self, other: &MiMatrix) -> usize {
-        assert_eq!(self.n, other.n);
-        let mut copied = 0;
-        for i in 0..self.n {
-            if other.row_time[i] > self.row_time[i] {
-                let lo = i * self.n;
-                let hi = lo + self.n;
-                self.data[lo..hi].copy_from_slice(&other.data[lo..hi]);
-                self.row_time[i] = other.row_time[i];
-                copied += 1;
-            }
-        }
-        copied
+        self.rows.merge_from(&other.rows)
     }
 
     /// Whether two matrices hold identical data (for convergence tests).
     pub fn same_data(&self, other: &MiMatrix) -> bool {
-        self.n == other.n
-            && self
-                .data
-                .iter()
-                .zip(&other.data)
-                .all(|(a, b)| a == b || (a.is_infinite() && b.is_infinite()))
+        let ids = || (0..self.n() as u32).map(NodeId);
+        self.n() == other.n()
+            && ids().all(|i| {
+                ids().all(|j| {
+                    let (a, b) = (self.get(i, j), other.get(i, j));
+                    a == b || (a.is_infinite() && b.is_infinite())
+                })
+            })
     }
 }
 
@@ -157,6 +150,28 @@ mod tests {
         assert!(a.same_data(&b));
         assert_eq!(a.get(NodeId(1), NodeId(0)), 30.0);
         assert_eq!(b.get(NodeId(0), NodeId(2)), 20.0);
+    }
+
+    /// Rows are shared after a merge; the owner's later writes to its own
+    /// row must leave the adopted copy untouched.
+    #[test]
+    fn adopted_row_survives_owner_writes() {
+        let mut owner = MiMatrix::new(3);
+        let mut peer = MiMatrix::new(3);
+        owner.set_row(NodeId(0), &[0.0, 10.0, 20.0], 5.0);
+        assert_eq!(peer.merge_from(&owner), 1);
+        owner.set_row(NodeId(0), &[0.0, 11.0, 21.0], 6.0);
+        owner.set_entry(NodeId(0), NodeId(2), 99.0, 7.0);
+        assert_eq!(owner.get(NodeId(0), NodeId(1)), 11.0);
+        assert_eq!(owner.get(NodeId(0), NodeId(2)), 99.0);
+        assert_eq!(peer.row(NodeId(0)), &[0.0, 10.0, 20.0]);
+        assert_eq!(peer.row_time(NodeId(0)), 5.0);
+        // An entry write to a row the owner adopted copies it first, too.
+        peer.set_entry(NodeId(0), NodeId(1), 1.0, 8.0);
+        owner.merge_from(&peer);
+        peer.set_entry(NodeId(0), NodeId(1), 2.0, 9.0);
+        assert_eq!(owner.get(NodeId(0), NodeId(1)), 1.0);
+        assert_eq!(owner.row_time(NodeId(0)), 8.0);
     }
 
     #[test]

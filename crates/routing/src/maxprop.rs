@@ -18,7 +18,8 @@
 
 use crate::util::control_size;
 use dtn_sim::{
-    Buffer, ContactCtx, Message, MessageId, NodeCtx, NodeId, Router, SimTime, TransferPlan,
+    Buffer, ContactCtx, Message, MessageId, NodeCtx, NodeId, Router, SimTime, StampedRows,
+    TransferPlan,
 };
 use std::any::Any;
 use std::collections::HashSet;
@@ -51,11 +52,10 @@ pub struct MaxProp {
     cfg: MaxPropConfig,
     /// Own meeting-probability vector (normalised to sum 1).
     f: Vec<f64>,
-    /// Latest known probability vector of every node, row-major `n × n`
-    /// (flat to avoid per-row allocations); `est_time[i]` is row `i`'s
-    /// freshness, `-1` = unknown.
-    est: Vec<f64>,
-    est_time: Vec<f64>,
+    /// Latest known probability vector of every node, stamped with its
+    /// freshness (`-1` = unknown). Rows are shared with the nodes they were
+    /// adopted from or by, and never written while shared.
+    est: StampedRows,
     /// Delivered-message ids learned so far (flooded acks).
     acked: HashSet<MessageId>,
     /// Cost-to-destination cache and when it was computed (`-∞` = never).
@@ -81,8 +81,7 @@ impl MaxProp {
             n,
             cfg,
             f: f.clone(),
-            est: vec![0.0; n * n],
-            est_time: vec![-1.0; n],
+            est: StampedRows::new(n, 0.0),
             acked: HashSet::new(),
             cost: vec![f64::INFINITY; n],
             cost_valid: false,
@@ -131,9 +130,7 @@ impl MaxProp {
             }
         }
 
-        let me_lo = self.me.idx() * self.n;
-        self.est[me_lo..me_lo + self.n].copy_from_slice(&self.f);
-        self.est_time[self.me.idx()] = now.as_secs();
+        self.est.set_row(self.me.idx(), &self.f, now.as_secs());
         for c in &mut self.cost {
             *c = f64::INFINITY;
         }
@@ -149,8 +146,8 @@ impl MaxProp {
             visited[ui] = true;
             let vec_u: &[f64] = if ui == self.me.idx() {
                 &self.f
-            } else if self.est_time[ui] >= 0.0 {
-                &self.est[ui * self.n..(ui + 1) * self.n]
+            } else if self.est.stamp(ui) >= 0.0 {
+                self.est.row(ui)
             } else {
                 continue; // no likelihood info about u's links
             };
@@ -200,22 +197,16 @@ impl Router for MaxProp {
         self.bump(ctx.peer);
 
         // Likelihood flooding: adopt fresher vectors known to the peer,
-        // including the peer's own (which is always freshest for itself).
+        // including the peer's own (which is always freshest for itself, so
+        // it is snapshotted from `f`, not taken from the peer's table).
         let now = ctx.now.as_secs();
         for i in 0..self.n {
-            let (src, peer_time): (&[f64], f64) = if i == ctx.peer.idx() {
-                (&peer_router.f, now)
-            } else if peer_router.est_time[i] >= 0.0 {
-                (
-                    &peer_router.est[i * self.n..(i + 1) * self.n],
-                    peer_router.est_time[i],
-                )
+            if i == ctx.peer.idx() {
+                if now > self.est.stamp(i) {
+                    self.est.set_row(i, &peer_router.f, now);
+                }
             } else {
-                continue;
-            };
-            if peer_time > self.est_time[i] {
-                self.est[i * self.n..(i + 1) * self.n].copy_from_slice(src);
-                self.est_time[i] = peer_time;
+                self.est.adopt_row(&peer_router.est, i);
             }
         }
         // Ack merge and purge of known-delivered messages.
@@ -318,6 +309,26 @@ mod tests {
         assert!(r.meeting_probability(NodeId(2)) > r.meeting_probability(NodeId(3)));
         assert!(r.meeting_probability(NodeId(3)) > 0.0, "smoothing mass");
         assert_eq!(r.meeting_probability(NodeId(0)), 0.0, "never self");
+    }
+
+    /// A node's installed row is shared with every table that adopted it;
+    /// the owner's later bumps and cost recomputations must leave the
+    /// adopted copy as it was.
+    #[test]
+    fn adopted_row_survives_owner_bump_and_recompute() {
+        let mut owner = MaxProp::new(NodeId(0), 4);
+        owner.bump(NodeId(2));
+        owner.recompute_costs(SimTime::secs(5.0));
+        let snapshot = owner.f.clone();
+        let mut holder = MaxProp::new(NodeId(3), 4);
+        assert!(holder.est.adopt_row(&owner.est, 0));
+
+        owner.bump(NodeId(1));
+        owner.recompute_costs(SimTime::secs(100.0));
+        assert_eq!(owner.est.row(0), owner.f.as_slice());
+        assert_ne!(owner.f, snapshot);
+        assert_eq!(holder.est.row(0), snapshot.as_slice());
+        assert_eq!(holder.est.stamp(0), 5.0);
     }
 
     /// A single recent meeting outweighs several old ones — the documented

@@ -13,6 +13,8 @@
 //! * [`source`] — the streaming contact supply ([`ContactSource`]):
 //!   contact events pulled in windows instead of a whole-horizon trace;
 //! * [`router`] — the protocol callback API ([`Router`]);
+//! * [`rows`] — shared, freshness-stamped rows ([`StampedRows`]), the
+//!   storage behind routers' row-gossiped tables;
 //! * [`engine`] — the discrete-event engine ([`Simulation`]);
 //! * [`observe`] — the observation layer: [`SimEvent`] stream,
 //!   [`SimObserver`] probes (time series, latency histograms), and the
@@ -65,6 +67,7 @@ pub mod observe;
 pub mod report;
 pub mod ring;
 pub mod router;
+pub mod rows;
 pub mod source;
 pub mod stats;
 pub mod time;
@@ -80,6 +83,7 @@ pub use observe::{
     TimeSeriesProbe, TsSample,
 };
 pub use router::{ContactCtx, NodeCtx, Router, SentSet, TransferAction, TransferPlan};
+pub use rows::StampedRows;
 pub use source::{ContactEvent, ContactSource, TraceReplaySource};
 pub use stats::{MetricPoint, SimStats, StatsSnapshot};
 pub use time::SimTime;
